@@ -355,7 +355,7 @@ impl Metrics {
         let engine: [(&str, &str, u64); 7] = [
             (
                 "scpg_sim_events_total",
-                "Events processed by the gate-level simulation kernel.",
+                "Live events processed by the gate-level simulation kernel, no-op events included.",
                 work.sim.events,
             ),
             (
@@ -365,12 +365,12 @@ impl Metrics {
             ),
             (
                 "scpg_sim_wheel_advance_total",
-                "Time-wheel base advances (slot claims) in the event queue.",
+                "Time-wheel slot claims; no-op events never enter the wheel and are not counted.",
                 work.sim.wheel_advances,
             ),
             (
                 "scpg_sim_wheel_overflow_total",
-                "Events promoted to the far-future overflow heap.",
+                "Queued events sent to the far-future overflow heap; no-op events are not counted.",
                 work.sim.wheel_overflows,
             ),
             (

@@ -7,6 +7,12 @@
 //! time-wheel advanced its base and how many far-future events spilled
 //! into the overflow heap.
 //!
+//! `events` counts every live event popped in time order, exactly as a
+//! plain `(time, seq)` heap would: an event that drives its net to the
+//! value it already holds (a no-op) counts when it falls due, although the
+//! engine never queues it. The two wheel counters see queued events only,
+//! so no-ops appear in neither.
+//!
 //! Each [`Simulator`](crate::Simulator) keeps plain per-run tallies (the
 //! engine is single-threaded per instance, so counting is free) exposed
 //! as a [`SimCounters`] snapshot. At the end of every
@@ -24,13 +30,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// A snapshot of one simulation run's work (or a merge of several).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimCounters {
-    /// Events applied (post inertial filtering).
+    /// Live events processed (post inertial filtering), no-ops included.
     pub events: u64,
     /// Combinational gate evaluations.
     pub gate_evals: u64,
-    /// Time-wheel base advances (slot claims).
+    /// Time-wheel base advances (slot claims). No-op events are never
+    /// queued, so a timestamp holding only no-ops claims no slot.
     pub wheel_advances: u64,
-    /// Events promoted to the far-future overflow heap.
+    /// Queued events promoted to the far-future overflow heap (no-op
+    /// events never are).
     pub wheel_overflows: u64,
 }
 
@@ -121,7 +129,8 @@ pub(crate) fn flush(delta: SimCounters) {
     }
 }
 
-/// Process-wide total of events applied across every simulator run.
+/// Process-wide total of live events processed across every simulator
+/// run, no-op events included.
 pub fn events_total() -> u64 {
     EVENTS.load(Ordering::Relaxed)
 }
@@ -131,12 +140,12 @@ pub fn gate_evals_total() -> u64 {
     GATE_EVALS.load(Ordering::Relaxed)
 }
 
-/// Process-wide total of time-wheel base advances.
+/// Process-wide total of time-wheel base advances (queued events only).
 pub fn wheel_advance_total() -> u64 {
     WHEEL_ADVANCES.load(Ordering::Relaxed)
 }
 
-/// Process-wide total of events promoted to the overflow heap.
+/// Process-wide total of queued events promoted to the overflow heap.
 pub fn wheel_overflow_total() -> u64 {
     WHEEL_OVERFLOWS.load(Ordering::Relaxed)
 }

@@ -6,6 +6,14 @@
 //! simulation: [`Simulator::new`] compiles and owns, while
 //! [`Simulator::with_compiled`] borrows a shared, pre-compiled image so
 //! frequency sweeps and parallel vector-group replays skip recompilation.
+//!
+//! More than half of what gate evaluation schedules drives a net to the
+//! value it already holds while nothing else is pending for it. Such a
+//! **no-op** event could only ever be popped, counted and found to change
+//! nothing, so it never enters the wheel: the engine parks it in a dense
+//! per-net list and settles its count exactly as the queue would have —
+//! counted in the `run_until` call whose deadline covers it, or not at
+//! all if a newer schedule for the net supersedes it first.
 
 use scpg_liberty::{CellKind, Library, Logic, PvtCorner, SequentialKind};
 use scpg_netlist::{NetId, Netlist, NetlistError};
@@ -58,6 +66,19 @@ pub struct SimResult {
     pub end_ps: u64,
 }
 
+/// [`Simulator::pending`] marker: the net's latest event has been popped
+/// (or the net was never scheduled).
+const SETTLED: u32 = u32::MAX;
+/// [`Simulator::pending`] marker: the net's latest event is in the wheel.
+const QUEUED: u32 = u32::MAX - 1;
+
+/// An event that leaves its net unchanged, kept out of the wheel.
+#[derive(Debug, Clone, Copy)]
+struct NoOp {
+    net: u32,
+    time: u64,
+}
+
 pub(crate) fn tag_of(v: Logic) -> u8 {
     match v {
         Logic::Zero => 0,
@@ -94,6 +115,18 @@ pub struct Simulator<'a> {
     /// per net is allowed to fire, so pulses shorter than the driving
     /// cell's delay are filtered exactly as a real gate filters them.
     latest_event: Vec<u64>,
+    /// Where each net's latest scheduled event lives: [`SETTLED`] (popped
+    /// or never scheduled), [`QUEUED`] in the wheel, or otherwise the
+    /// index of its pending no-op in `noops`.
+    pending: Vec<u32>,
+    /// Pending no-op events, one per net at most (see the module docs).
+    noops: Vec<NoOp>,
+    /// Latest time of a superseded, uncounted no-op. A heap queue would
+    /// still hold it as a stale entry until then, so the design is not
+    /// quiet before it.
+    stale_until: u64,
+    /// `seq` of the event being applied inside `run_until`; 0 between calls.
+    now_seq: u64,
     wheel: TimeWheel,
     seq: u64,
     time: u64,
@@ -151,6 +184,10 @@ impl<'a> Simulator<'a> {
             values: vec![Logic::X; num_nets],
             flop_state: vec![Logic::X; num_cells],
             latest_event: vec![0; num_nets],
+            pending: vec![SETTLED; num_nets],
+            noops: Vec::new(),
+            stale_until: 0,
+            now_seq: 0,
             wheel: TimeWheel::new(),
             seq: 0,
             time: 0,
@@ -189,7 +226,8 @@ impl<'a> Simulator<'a> {
         self.rail_up
     }
 
-    /// Total events applied so far (the engine-throughput denominator).
+    /// Total live events processed so far, no-op events included (the
+    /// engine-throughput denominator).
     pub fn events_processed(&self) -> u64 {
         self.events_processed
     }
@@ -229,8 +267,25 @@ impl<'a> Simulator<'a> {
     }
 
     fn schedule(&mut self, time: u64, net: u32, value: Logic) {
+        let n = net as usize;
+        let queued = match self.pending[n] {
+            QUEUED => true,
+            SETTLED => false,
+            k => {
+                self.supersede_noop(k as usize);
+                false
+            }
+        };
         self.seq += 1;
-        self.latest_event[net as usize] = self.seq;
+        self.latest_event[n] = self.seq;
+        // With nothing in flight for the net, its value cannot change
+        // before this event fires, so an equal value would be a no-op.
+        if !queued && self.values[n] == value {
+            self.pending[n] = self.noops.len() as u32;
+            self.noops.push(NoOp { net, time });
+            return;
+        }
+        self.pending[n] = QUEUED;
         self.wheel.push(Event {
             time,
             seq: self.seq,
@@ -239,35 +294,70 @@ impl<'a> Simulator<'a> {
         });
     }
 
+    /// Drops pending no-op `k`, whose net is about to be scheduled again.
+    /// A queue would already have popped (and counted) it if it sorts
+    /// before the event being applied; otherwise it would linger there as
+    /// a stale entry until its time.
+    fn supersede_noop(&mut self, k: usize) {
+        let NoOp { net, time } = self.noops[k];
+        let seq = self.latest_event[net as usize];
+        if self.now_seq != 0 && (time, seq) < (self.time, self.now_seq) {
+            self.events_processed += 1;
+        } else {
+            self.stale_until = self.stale_until.max(time);
+        }
+        self.remove_noop(k);
+    }
+
+    fn remove_noop(&mut self, k: usize) {
+        let gone = self.noops.swap_remove(k);
+        self.pending[gone.net as usize] = SETTLED;
+        if let Some(moved) = self.noops.get(k) {
+            self.pending[moved.net as usize] = k as u32;
+        }
+    }
+
     /// Runs until the queue is empty or `deadline_ps` is reached, whichever
     /// comes first. Returns the number of processed events.
     pub fn run_until(&mut self, deadline_ps: u64) -> u64 {
-        let mut processed = 0;
+        let start = self.events_processed;
         while let Some(ev) = self.wheel.pop_le(deadline_ps) {
             // Inertial filtering: a newer scheduled value for this net
             // supersedes (and swallows) this one.
             if self.latest_event[ev.net as usize] != ev.seq {
                 continue;
             }
+            self.pending[ev.net as usize] = SETTLED;
             self.time = ev.time;
+            self.now_seq = ev.seq;
             self.apply(ev.net, untag(ev.value_tag));
-            processed += 1;
+            self.events_processed += 1;
+        }
+        self.now_seq = 0;
+        // Every no-op the deadline covers fired in this call.
+        let mut k = 0;
+        while k < self.noops.len() {
+            if self.noops[k].time <= deadline_ps {
+                self.events_processed += 1;
+                self.remove_noop(k);
+            } else {
+                k += 1;
+            }
         }
         self.time = self.time.max(deadline_ps);
-        self.events_processed += processed;
         // Credit this run's new work to the process-wide totals in one
         // batched add per call (never per event).
         let now = self.counters();
         counters::flush(now.delta_since(self.flushed));
         self.flushed = now;
-        processed
+        self.events_processed - start
     }
 
     /// Runs until no events remain, up to `max_ps`. Returns `true` when
     /// the design settled (queue drained) before the horizon.
     pub fn run_until_quiet(&mut self, max_ps: u64) -> bool {
         self.run_until(max_ps);
-        self.wheel.is_empty()
+        self.wheel.is_empty() && self.noops.is_empty() && self.stale_until <= max_ps
     }
 
     fn apply(&mut self, net: u32, value: Logic) {
@@ -451,7 +541,7 @@ impl<'a> Simulator<'a> {
 mod tests {
     use super::*;
     use scpg_liberty::Library;
-    use scpg_netlist::{Domain, Netlist};
+    use scpg_netlist::{Domain, NetId, Netlist};
 
     fn lib() -> Library {
         Library::ninety_nm()
@@ -749,6 +839,200 @@ mod tests {
         assert!(delta.events >= run.events, "{delta:?} vs {run:?}");
         assert!(delta.gate_evals >= run.gate_evals);
         assert!(delta.wheel_advances >= run.wheel_advances);
+    }
+
+    /// `y = NAND(a, b)` settled with `a = b = 0`, so `y = 1` and a rising
+    /// `b` re-drives `y` to the 1 it already holds: a no-op event.
+    fn nand_with_noop_on_b(nl: &mut Netlist) -> (NetId, NetId, NetId) {
+        let a = nl.add_input("a");
+        let b = nl.add_input("b");
+        let y = nl.add_output("y");
+        nl.add_instance("u", "NAND2_X1", &[a, b, y]).unwrap();
+        (a, b, y)
+    }
+
+    #[test]
+    fn superseded_noop_is_not_counted() {
+        let lib = lib();
+        let mut nl = Netlist::new("t");
+        let (a, b, _) = nand_with_noop_on_b(&mut nl);
+        let mut sim = Simulator::new(&nl, &lib, SimConfig::default()).unwrap();
+        let mut rsim = crate::ReferenceSimulator::new(&nl, &lib, SimConfig::default()).unwrap();
+        for &(net, v) in &[(a, Logic::Zero), (b, Logic::Zero)] {
+            sim.set_input(net, v);
+            rsim.set_input(net, v);
+        }
+        assert!(sim.run_until_quiet(10_000));
+        assert!(rsim.run_until_quiet(10_000));
+        let t = sim.time_ps();
+        // `b` rises: `y` gets a pending no-op one gate delay out ...
+        sim.set_input(b, Logic::One);
+        rsim.set_input(b, Logic::One);
+        assert_eq!(sim.run_until(t), rsim.run_until(t));
+        assert_eq!(sim.noops.len(), 1, "the re-drive of y is parked");
+        // ... and `a` rising drives `y` low before the no-op fires, so the
+        // no-op is superseded and never counts.
+        sim.set_input(a, Logic::One);
+        rsim.set_input(a, Logic::One);
+        // Between calls: a primary input re-driven to its own value and
+        // then overridden at the same instant is not counted either.
+        sim.set_input(b, Logic::One);
+        rsim.set_input(b, Logic::One);
+        sim.set_input(b, Logic::Zero);
+        rsim.set_input(b, Logic::Zero);
+        let got = sim.run_until(t + 10_000);
+        assert_eq!(got, rsim.run_until(t + 10_000));
+        assert!(sim.noops.is_empty());
+        assert_eq!(sim.counters().events, sim.events_processed());
+    }
+
+    #[test]
+    fn noop_counts_in_the_call_whose_deadline_covers_it() {
+        let lib = lib();
+        let mut nl = Netlist::new("t");
+        let (a, b, y) = nand_with_noop_on_b(&mut nl);
+        let mut sim = Simulator::new(&nl, &lib, SimConfig::default()).unwrap();
+        sim.set_input(a, Logic::Zero);
+        sim.set_input(b, Logic::Zero);
+        assert!(sim.run_until_quiet(10_000));
+        let t = sim.time_ps();
+        let delay = sim.c().delays(0)[0];
+        sim.set_input(b, Logic::One);
+        assert_eq!(sim.run_until(t), 1, "only the edge on b");
+        assert_eq!(sim.run_until(t + delay - 1), 0, "the no-op is not due");
+        assert_eq!(sim.run_until(t + delay), 1, "the no-op fires on time");
+        assert!(sim.noops.is_empty());
+        assert_eq!(sim.value(y), Logic::One);
+    }
+
+    #[test]
+    fn noop_superseded_after_its_time_counts_as_fired() {
+        // `a` reaches the NAND through a buffer chain slower than the
+        // NAND itself, so the no-op on `y` is due before `a` supersedes
+        // it — within the same call, where a queue would already have
+        // popped and counted it.
+        let lib = lib();
+        let mut nl = Netlist::new("t");
+        let c = nl.add_input("c");
+        let b = nl.add_input("b");
+        let n1 = nl.add_fresh_net();
+        let n2 = nl.add_fresh_net();
+        let a = nl.add_fresh_net();
+        let y = nl.add_output("y");
+        nl.add_instance("u", "NAND2_X1", &[a, b, y]).unwrap();
+        nl.add_instance("b1", "BUF_X1", &[c, n1]).unwrap();
+        nl.add_instance("b2", "BUF_X1", &[n1, n2]).unwrap();
+        nl.add_instance("b3", "BUF_X1", &[n2, a]).unwrap();
+        let mut sim = Simulator::new(&nl, &lib, SimConfig::default()).unwrap();
+        let mut rsim = crate::ReferenceSimulator::new(&nl, &lib, SimConfig::default()).unwrap();
+        let nand = sim.c().delays(0)[0];
+        let chain: u64 = (1..4).map(|i| sim.c().delays(i)[0]).sum();
+        assert!(chain > nand, "chain {chain} ps vs NAND {nand} ps");
+        for &(net, v) in &[(c, Logic::Zero), (b, Logic::Zero)] {
+            sim.set_input(net, v);
+            rsim.set_input(net, v);
+        }
+        assert!(sim.run_until_quiet(10_000));
+        assert!(rsim.run_until_quiet(10_000));
+        let t = sim.time_ps();
+        sim.set_input(b, Logic::One);
+        rsim.set_input(b, Logic::One);
+        sim.set_input(c, Logic::One);
+        rsim.set_input(c, Logic::One);
+        // Edges on b and c, the no-op on y, three buffer outputs, y falls.
+        assert_eq!(sim.run_until(t + 10_000), 7);
+        assert_eq!(rsim.run_until(t + 10_000), 7);
+        assert_eq!(sim.value(y), Logic::Zero);
+    }
+
+    #[test]
+    fn noop_tied_in_time_with_its_superseder_counts_by_seq() {
+        // `a` and `b` reach the NAND through matched buffers. `b` rises
+        // first, parking a no-op on `y`; `a` rises exactly one NAND delay
+        // later, so its buffered edge re-drives the NAND at the instant
+        // the no-op is due. The no-op was scheduled first, so a queue pops
+        // it first: it counts.
+        let lib = lib();
+        let mut nl = Netlist::new("t");
+        let a = nl.add_input("a");
+        let b = nl.add_input("b");
+        let a1 = nl.add_fresh_net();
+        let b1 = nl.add_fresh_net();
+        let y = nl.add_output("y");
+        nl.add_instance("u", "NAND2_X1", &[a1, b1, y]).unwrap();
+        nl.add_instance("ba", "BUF_X1", &[a, a1]).unwrap();
+        nl.add_instance("bb", "BUF_X1", &[b, b1]).unwrap();
+        for k in 0..4 {
+            let out = nl.add_fresh_net();
+            nl.add_instance(format!("ld{k}"), "INV_X1", &[y, out])
+                .unwrap();
+        }
+        let mut sim = Simulator::new(&nl, &lib, SimConfig::default()).unwrap();
+        let mut rsim = crate::ReferenceSimulator::new(&nl, &lib, SimConfig::default()).unwrap();
+        let (nand, buf) = (sim.c().delays(0)[0], sim.c().delays(1)[0]);
+        assert_eq!(buf, sim.c().delays(2)[0], "matched buffers");
+        assert!(buf <= nand, "b1 must park the no-op before a is driven");
+        for &(net, v) in &[(a, Logic::Zero), (b, Logic::Zero)] {
+            sim.set_input(net, v);
+            rsim.set_input(net, v);
+        }
+        assert!(sim.run_until_quiet(10_000));
+        assert!(rsim.run_until_quiet(10_000));
+        let t = sim.time_ps();
+        sim.set_input(b, Logic::One);
+        rsim.set_input(b, Logic::One);
+        assert_eq!(sim.run_until(t + nand), rsim.run_until(t + nand));
+        sim.set_input(a, Logic::One);
+        rsim.set_input(a, Logic::One);
+        // a, a1, the no-op on y, y falls, four inverter outputs rise.
+        assert_eq!(sim.run_until(t + 10_000), 8);
+        assert_eq!(rsim.run_until(t + 10_000), 8);
+    }
+
+    #[test]
+    fn pending_noop_beyond_the_horizon_is_not_quiet() {
+        let lib = lib();
+        let mut nl = Netlist::new("t");
+        let (a, b, _) = nand_with_noop_on_b(&mut nl);
+        let mut sim = Simulator::new(&nl, &lib, SimConfig::default()).unwrap();
+        sim.set_input(a, Logic::Zero);
+        sim.set_input(b, Logic::Zero);
+        assert!(sim.run_until_quiet(10_000));
+        let t = sim.time_ps();
+        let delay = sim.c().delays(0)[0];
+        sim.set_input(b, Logic::One);
+        assert!(!sim.run_until_quiet(t + delay - 1), "a no-op is still due");
+        assert!(sim.wheel.is_empty(), "nothing else is in flight");
+        assert!(sim.run_until_quiet(t + delay));
+    }
+
+    #[test]
+    fn superseded_noop_keeps_the_design_busy_until_its_time() {
+        // The rail sits at X, so SLEEP rising schedules a no-op collapse
+        // 2 ns out. SLEEP falling 100 ps later schedules the restore at
+        // 1.1 ns, superseding it. A heap would keep the stale collapse
+        // queued until 2 ns, so the design is not quiet before then.
+        let lib = lib();
+        let mut nl = Netlist::new("t");
+        let sleep = nl.add_input("sleep");
+        let vddv = nl.add_net("vddv");
+        nl.add_instance("hdr", "HDR_X2", &[sleep, vddv]).unwrap();
+        let mut sim = Simulator::new(&nl, &lib, SimConfig::default()).unwrap();
+        let mut rsim = crate::ReferenceSimulator::new(&nl, &lib, SimConfig::default()).unwrap();
+        sim.set_input(sleep, Logic::One);
+        rsim.set_input(sleep, Logic::One);
+        assert_eq!(sim.run_until(100), rsim.run_until(100));
+        assert_eq!(sim.noops.len(), 1);
+        sim.set_input(sleep, Logic::Zero);
+        rsim.set_input(sleep, Logic::Zero);
+        for max in [1_500, 2_500] {
+            let before = sim.events_processed();
+            let quiet = sim.run_until_quiet(max);
+            assert_eq!(sim.events_processed() - before, rsim.run_until(max));
+            assert_eq!(quiet, rsim.run_until_quiet(max), "horizon {max}");
+            assert_eq!(quiet, max == 2_500);
+        }
+        assert_eq!(sim.value(vddv), Logic::One);
     }
 
     #[test]

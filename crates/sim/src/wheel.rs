@@ -10,10 +10,17 @@
 //! stimulus) overflow into a [`BinaryHeap`] and are drained back into the
 //! wheel as the base cursor advances.
 //!
+//! Slot storage is one pooled arena: each slot is a head/tail linked list
+//! threaded through `nodes`, and claimed slots return their nodes to a
+//! free list. The arena only grows to the peak number of queued events,
+//! so a long run touches a few cache-resident nodes instead of thousands
+//! of per-slot buffers.
+//!
 //! Ordering is **bit-identical** to the `BinaryHeap<Reverse<Event>>` it
 //! replaces: events pop in `(time, seq)` order. Within the active window
-//! a slot holds exactly one timestamp, and slots are sorted by `seq`
-//! before processing (overflow drains can append out of sequence).
+//! a slot holds exactly one timestamp. Pushes arrive in `seq` order, so a
+//! slot is already sorted unless an overflow drain appended an older
+//! event behind newer ones; only then is the claimed slot sorted.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -32,11 +39,37 @@ pub(crate) struct Event {
 /// modulo is a mask.
 const SPAN: u64 = 8192;
 const WORDS: usize = (SPAN as usize) / 64;
+/// End-of-list marker for arena links.
+const NIL: u32 = u32::MAX;
+
+/// One arena entry: a queued event and the next entry of its list (the
+/// slot's list while queued, the free list once released).
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    ev: Event,
+    next: u32,
+}
+
+/// A slot's event list in the arena, `NIL`/`NIL` when empty.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    head: u32,
+    tail: u32,
+}
+
+const EMPTY: Slot = Slot {
+    head: NIL,
+    tail: NIL,
+};
 
 /// The event queue: near-future ring + far-future overflow heap.
 #[derive(Debug)]
 pub(crate) struct TimeWheel {
-    slots: Vec<Vec<Event>>,
+    /// Pooled storage for every slotted event.
+    nodes: Vec<Node>,
+    /// Head of the free list threaded through `nodes`.
+    free: u32,
+    slots: Vec<Slot>,
     /// Occupancy bitmap over `slots`; bit `s` set iff `slots[s]` non-empty.
     words: [u64; WORDS],
     /// Lower bound on every queued event's time; scan origin.
@@ -57,7 +90,9 @@ pub(crate) struct TimeWheel {
 impl TimeWheel {
     pub(crate) fn new() -> Self {
         Self {
-            slots: vec![Vec::new(); SPAN as usize],
+            nodes: Vec::new(),
+            free: NIL,
+            slots: vec![EMPTY; SPAN as usize],
             words: [0; WORDS],
             base: 0,
             overflow: BinaryHeap::new(),
@@ -78,14 +113,35 @@ impl TimeWheel {
     pub(crate) fn push(&mut self, ev: Event) {
         debug_assert!(ev.time >= self.base, "scheduled into the past");
         if ev.time < self.base + SPAN {
-            let s = (ev.time % SPAN) as usize;
-            self.slots[s].push(ev);
-            self.words[s / 64] |= 1 << (s % 64);
-            self.in_slots += 1;
+            self.link(ev);
         } else {
             self.overflow.push(Reverse(ev));
             self.overflows += 1;
         }
+    }
+
+    /// Appends `ev` to its slot's list, reusing a free arena node if any.
+    fn link(&mut self, ev: Event) {
+        let node = Node { ev, next: NIL };
+        let i = if self.free == NIL {
+            self.nodes.push(node);
+            (self.nodes.len() - 1) as u32
+        } else {
+            let i = self.free;
+            self.free = self.nodes[i as usize].next;
+            self.nodes[i as usize] = node;
+            i
+        };
+        let s = (ev.time % SPAN) as usize;
+        let slot = &mut self.slots[s];
+        if slot.head == NIL {
+            slot.head = i;
+            self.words[s / 64] |= 1 << (s % 64);
+        } else {
+            self.nodes[slot.tail as usize].next = i;
+        }
+        slot.tail = i;
+        self.in_slots += 1;
     }
 
     /// Pops the earliest event whose time is `<= deadline`, or `None`
@@ -113,29 +169,46 @@ impl TimeWheel {
                     break;
                 }
                 self.overflow.pop();
-                let s = (head.time % SPAN) as usize;
-                self.slots[s].push(head);
-                self.words[s / 64] |= 1 << (s % 64);
-                self.in_slots += 1;
+                self.link(head);
             }
 
             if self.in_slots == 0 {
-                // Wheel empty: jump the window to the overflow head.
+                // Wheel empty: jump the window to the overflow head — but
+                // only when it is due. Moving the base past the deadline
+                // would strand a later push at an earlier time behind it.
                 let &Reverse(head) = self.overflow.peek()?;
+                if head.time > deadline {
+                    return None;
+                }
                 self.base = head.time;
                 continue;
             }
 
             let s = self.next_slot();
-            let t = self.slots[s][0].time;
+            let Slot { head, tail } = self.slots[s];
+            let t = self.nodes[head as usize].ev.time;
             if t > deadline {
                 return None;
             }
-            // Claim the whole slot (one timestamp), ordered by seq —
-            // exactly the (time, seq) order a min-heap would produce.
+            // Claim the whole slot (one timestamp) and hand its nodes back
+            // to the free list in one splice.
             self.current.clear();
-            self.current.append(&mut self.slots[s]);
-            self.current.sort_unstable_by_key(|e| e.seq);
+            let mut sorted = true;
+            let mut i = head;
+            while i != NIL {
+                let node = self.nodes[i as usize];
+                sorted &= self.current.last().is_none_or(|p| p.seq < node.ev.seq);
+                self.current.push(node.ev);
+                i = node.next;
+            }
+            self.nodes[tail as usize].next = self.free;
+            self.free = head;
+            self.slots[s] = EMPTY;
+            // Only an overflow drain appends out of sequence; sort then,
+            // giving exactly the (time, seq) order a min-heap would.
+            if !sorted {
+                self.current.sort_unstable_by_key(|e| e.seq);
+            }
             self.cursor = 1;
             self.words[s / 64] &= !(1 << (s % 64));
             self.in_slots -= self.current.len();
@@ -236,6 +309,53 @@ mod tests {
         w.push(ev(500, 3));
         assert_eq!(w.pop_le(u64::MAX).map(|e| e.seq), Some(3));
         assert_eq!(w.pop_le(u64::MAX).map(|e| e.seq), Some(2));
+    }
+
+    #[test]
+    fn pop_past_deadline_leaves_base_for_earlier_pushes() {
+        // Regression: with no slotted events and the overflow head beyond
+        // the deadline, `pop_le` used to jump the base to that head anyway,
+        // so a later push at an earlier time landed behind the base and
+        // popped after the far-future event.
+        let mut w = TimeWheel::new();
+        w.push(ev(10_000, 1)); // overflow (>= SPAN)
+        assert_eq!(w.pop_le(500), None);
+        w.push(ev(600, 2));
+        assert_eq!(w.pop_le(u64::MAX).map(|e| e.time), Some(600));
+        assert_eq!(w.pop_le(u64::MAX).map(|e| e.time), Some(10_000));
+        assert!(w.is_empty());
+    }
+
+    #[test]
+    fn overflow_drain_behind_newer_events_is_sorted_on_claim() {
+        // The overflow event (seq 1) is drained into a slot that already
+        // holds a newer event for the same timestamp (seq 3).
+        let mut w = TimeWheel::new();
+        w.push(ev(0, 0));
+        w.push(ev(9_000, 1)); // overflow
+        assert_eq!(w.pop_le(u64::MAX).map(|e| e.seq), Some(0));
+        w.push(ev(2_000, 2));
+        assert_eq!(w.pop_le(u64::MAX).map(|e| e.seq), Some(2));
+        w.push(ev(9_000, 3)); // in the window now; joins slot 9000 % SPAN
+        let order: Vec<u64> = std::iter::from_fn(|| w.pop_le(u64::MAX))
+            .map(|e| e.seq)
+            .collect();
+        assert_eq!(order, vec![1, 3]);
+    }
+
+    #[test]
+    fn arena_reuses_released_nodes() {
+        // A steady stream of short-delay events must recycle the same few
+        // nodes rather than grow the arena with the event count.
+        let mut w = TimeWheel::new();
+        for k in 0..10_000u64 {
+            w.push(ev(k * 3, 2 * k));
+            w.push(ev(k * 3 + 1, 2 * k + 1));
+            assert_eq!(w.pop_le(u64::MAX).map(|e| e.seq), Some(2 * k));
+            assert_eq!(w.pop_le(u64::MAX).map(|e| e.seq), Some(2 * k + 1));
+        }
+        assert!(w.is_empty());
+        assert!(w.nodes.len() <= 2, "arena grew to {}", w.nodes.len());
     }
 
     #[test]
