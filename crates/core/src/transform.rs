@@ -22,7 +22,7 @@
 //! [`Domain::AlwaysOn`]: scpg_netlist::Domain::AlwaysOn
 
 use scpg_liberty::{CellKind, HeaderSize, Library};
-use scpg_netlist::{Domain, NetId, Netlist, PortDirection};
+use scpg_netlist::{Domain, NetId, Netlist, PinRef, PortDirection};
 
 use crate::error::ScpgError;
 
@@ -152,7 +152,13 @@ impl<'lib> ScpgTransform<'lib> {
         // Isolation insertion on every gated→always-on crossing.
         let iso_cell = self.cell_name(CellKind::IsoAnd).to_string();
         let conn = out.connectivity(self.lib)?;
-        let mut planned: Vec<(NetId, bool, Vec<scpg_netlist::PinRef>)> = Vec::new();
+        let mut port_driven = vec![false; out.nets().len()];
+        for p in out.ports() {
+            if p.direction == PortDirection::Output {
+                port_driven[p.net.index()] = true;
+            }
+        }
+        let mut planned: Vec<(NetId, Option<PinRef>, Vec<PinRef>)> = Vec::new();
         for (idx, _net) in out.nets().iter().enumerate() {
             let net = NetId::from_index(idx);
             let Some(driver) = conn.driver(net) else {
@@ -167,26 +173,21 @@ impl<'lib> ScpgTransform<'lib> {
                 .copied()
                 .filter(|pin| out.instance(pin.inst).domain() == Domain::AlwaysOn)
                 .collect();
-            let drives_port = out
-                .ports()
-                .iter()
-                .any(|p| p.net == net && p.direction == PortDirection::Output);
+            let drives_port = port_driven[idx];
             if drives_port || !aon_sinks.is_empty() {
-                planned.push((net, drives_port, aon_sinks));
+                planned.push((net, drives_port.then_some(driver), aon_sinks));
             }
         }
 
+        // Each step below rewires only its own net's driver pin or sinks,
+        // so the drivers recorded while planning stay valid throughout.
         let mut iso_count = 0usize;
-        for (net, drives_port, aon_sinks) in planned {
+        for (net, port_driver, aon_sinks) in planned {
             let inst_name = format!("scpg_iso_{iso_count}");
             iso_count += 1;
-            if drives_port {
+            if let Some(drv) = port_driver {
                 // Keep the port on its named net: retarget the gated
                 // driver to a fresh net and clamp into the original.
-                let drv = out
-                    .connectivity(self.lib)?
-                    .driver(net)
-                    .expect("driver known from planning");
                 let inner = out.add_fresh_net();
                 out.rewire_pin(drv.inst, drv.pin, inner);
                 // Everything that used to read the net now reads the
@@ -397,6 +398,78 @@ mod tests {
         sim.set_input(clk, Logic::Zero);
         sim.run_until(12_000_000);
         assert_eq!(sim.value(y), Logic::One, "restored after the low phase");
+    }
+
+    /// Gated logic driving several output ports — two of them from one
+    /// full adder — and always-on flops. Each port keeps its net, now
+    /// driven by a clamp whose data input is the port's original driver
+    /// pin; always-on sinks read clamped nets.
+    #[test]
+    fn gated_port_drivers_are_clamped_in_place() {
+        let lib = lib();
+        let mut nl = Netlist::new("t");
+        let clk = nl.add_input("clk");
+        let a = nl.add_input("a");
+        let b = nl.add_input("b");
+        let c = nl.add_input("c");
+        let y0 = nl.add_output("y0");
+        let y1 = nl.add_output("y1");
+        let s = nl.add_output("s");
+        let co = nl.add_output("co");
+        let n = nl.add_net("n");
+        let q0 = nl.add_output("q0");
+        let q1 = nl.add_output("q1");
+        nl.add_instance("g0", "NAND2_X1", &[a, b, y0]).unwrap();
+        nl.add_instance("g1", "INV_X1", &[y0, y1]).unwrap();
+        nl.add_instance("fa", "FA_X1", &[a, b, c, s, co]).unwrap();
+        nl.add_instance("g2", "XOR2_X1", &[a, c, n]).unwrap();
+        let ff0 = nl.add_instance("ff0", "DFF_X1", &[y0, clk, q0]).unwrap();
+        let ff1 = nl.add_instance("ff1", "DFF_X1", &[n, clk, q1]).unwrap();
+        let before = nl.connectivity(&lib).unwrap();
+
+        let design = ScpgTransform::new(&lib)
+            .apply(&nl, "clk", &ScpgOptions::default())
+            .unwrap();
+        let out = &design.netlist;
+        out.validate(&lib).unwrap();
+        // y0, y1, s, co and n each get one clamp; the flop outputs none.
+        assert_eq!(design.isolation_cells, 5);
+        // + sleep AND, header, isolation control, clamps.
+        assert_eq!(out.instances().len(), nl.instances().len() + 3 + 5);
+
+        let after = out.connectivity(&lib).unwrap();
+        let iso_cell = lib.cell_of_kind(CellKind::IsoAnd).unwrap().name();
+        for port in [y0, y1, s, co] {
+            let p = out.ports().iter().find(|p| p.net == port).unwrap();
+            assert_eq!(out.net(p.net).name(), p.name, "port keeps its named net");
+            let clamp = out.instance(after.driver(port).unwrap().inst);
+            assert!(clamp.name().starts_with("scpg_iso_"), "{}", p.name);
+            assert_eq!(clamp.cell(), iso_cell);
+            assert_eq!(clamp.connections()[1], design.iso);
+            assert_eq!(
+                after.driver(clamp.connections()[0]),
+                before.driver(port),
+                "clamp `{}` reads the original driver of `{}`",
+                clamp.name(),
+                p.name
+            );
+        }
+
+        // Always-on sinks: ff0 reads the port net (now the clamp output),
+        // ff1 reads a fresh clamped copy of `n`.
+        assert_eq!(out.instance(ff0).connections()[0], y0);
+        let ff1_d = out.instance(ff1).connections()[0];
+        assert_ne!(ff1_d, n);
+        let clamp = out.instance(after.driver(ff1_d).unwrap().inst);
+        assert!(clamp.name().starts_with("scpg_iso_"));
+        assert_eq!(clamp.connections()[0], n);
+        // The flop outputs stay unclamped.
+        for q in [q0, q1] {
+            assert!(out
+                .instance(after.driver(q).unwrap().inst)
+                .name()
+                .starts_with("ff"));
+        }
     }
 
     /// The transform must not touch designs whose combinational outputs

@@ -54,8 +54,10 @@ impl EvalBackend {
 
 /// Answers propagation-delay queries for one cell.
 pub trait TimingBackend {
-    /// Propagation delay of `cell` at supply `v` driving `c_load`.
-    fn delay(&self, cell: &Cell, v: Voltage, c_load: Capacitance) -> Time;
+    /// Propagation delay of `cell` driving `c_load` at the cell's
+    /// characterisation voltage; [`Cell::delay`] carries it to other
+    /// supplies with [`crate::TransistorModel::scale_delay`].
+    fn delay_base(&self, cell: &Cell, c_load: Capacitance) -> Time;
 }
 
 /// Answers leakage and switching-energy queries for one cell.
@@ -70,11 +72,8 @@ pub trait PowerBackend {
 pub struct AnalyticalBackend;
 
 impl TimingBackend for AnalyticalBackend {
-    fn delay(&self, cell: &Cell, v: Voltage, c_load: Capacitance) -> Time {
-        let loaded = Time::new(
-            cell.intrinsic_delay().value() + cell.drive_resistance().value() * c_load.value(),
-        );
-        cell.model().scale_delay(loaded, v)
+    fn delay_base(&self, cell: &Cell, c_load: Capacitance) -> Time {
+        Time::new(cell.intrinsic_delay().value() + cell.drive_resistance().value() * c_load.value())
     }
 }
 
@@ -95,16 +94,13 @@ impl PowerBackend for AnalyticalBackend {
 pub struct TableBackend;
 
 impl TimingBackend for TableBackend {
-    fn delay(&self, cell: &Cell, v: Voltage, c_load: Capacitance) -> Time {
+    fn delay_base(&self, cell: &Cell, c_load: Capacitance) -> Time {
         match cell.tables().and_then(|t| t.delay.as_ref().map(|d| (t, d))) {
-            Some((tables, table)) => {
-                // Table values are characterised at the library's nominal
-                // voltage (the model's v_char); the EKV law carries them
-                // to other supplies exactly as it does intrinsic delays.
-                let base = Time::new(table.lookup(tables.nominal_slew, c_load.value()));
-                cell.model().scale_delay(base, v)
-            }
-            None => AnalyticalBackend.delay(cell, v, c_load),
+            // Table values are characterised at the library's nominal
+            // voltage (the model's v_char); the EKV law carries them to
+            // other supplies exactly as it does intrinsic delays.
+            Some((tables, table)) => Time::new(table.lookup(tables.nominal_slew, c_load.value())),
+            None => AnalyticalBackend.delay_base(cell, c_load),
         }
     }
 }

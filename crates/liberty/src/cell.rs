@@ -454,15 +454,22 @@ impl Cell {
         self.leak_weight
     }
 
-    /// Propagation delay at supply `v` driving `c_load`, answered by the
-    /// cell's selected [`TimingBackend`]: an intrinsic-plus-`R·C` closed
-    /// form ([`AnalyticalBackend`]) or NLDM table lookup
-    /// ([`TableBackend`]), both scaled by the supply-dependent
-    /// [`TransistorModel::delay_scale`].
+    /// Propagation delay at supply `v` driving `c_load`: the
+    /// voltage-independent [`Cell::delay_base`] scaled by the
+    /// supply-dependent [`TransistorModel::delay_scale`].
     pub fn delay(&self, v: Voltage, c_load: Capacitance) -> Time {
+        self.model.scale_delay(self.delay_base(c_load), v)
+    }
+
+    /// Propagation delay driving `c_load` at the characterisation voltage,
+    /// answered by the cell's selected [`TimingBackend`]: an
+    /// intrinsic-plus-`R·C` closed form ([`AnalyticalBackend`]) or NLDM
+    /// table lookup ([`TableBackend`]). It does not depend on the supply,
+    /// so timing graphs compute it once per arc and rescale per voltage.
+    pub fn delay_base(&self, c_load: Capacitance) -> Time {
         match self.backend {
-            EvalBackend::Analytical => AnalyticalBackend.delay(self, v, c_load),
-            EvalBackend::Table => TableBackend.delay(self, v, c_load),
+            EvalBackend::Analytical => AnalyticalBackend.delay_base(self, c_load),
+            EvalBackend::Table => TableBackend.delay_base(self, c_load),
         }
     }
 

@@ -1,6 +1,8 @@
-//! Driver/load connectivity tables.
+//! Driver/load connectivity tables and per-instance cell resolution.
 
-use scpg_liberty::Library;
+use std::collections::HashMap;
+
+use scpg_liberty::{Cell, Library};
 
 use crate::error::NetlistError;
 use crate::netlist::{InstId, NetId, Netlist};
@@ -99,6 +101,60 @@ impl Connectivity {
     }
 }
 
+/// Every instance's library cell, looked up once: the distinct cells in
+/// first-use order and, per instance, an index into them.
+///
+/// Analyses that evaluate a cell quantity at many corners (delay scale,
+/// leakage) compute it once per distinct cell and index it per instance,
+/// instead of resolving cell names per instance and per corner.
+#[derive(Debug, Clone)]
+pub struct ResolvedCells<'lib> {
+    distinct: Vec<&'lib Cell>,
+    of_inst: Vec<u32>,
+}
+
+impl<'lib> ResolvedCells<'lib> {
+    pub(crate) fn build(nl: &Netlist, lib: &'lib Library) -> Result<Self, NetlistError> {
+        let mut distinct: Vec<&'lib Cell> = Vec::new();
+        let mut by_name: HashMap<&str, u32> = HashMap::new();
+        let mut of_inst = Vec::with_capacity(nl.instances().len());
+        for inst in nl.instances() {
+            let idx = match by_name.get(inst.cell()) {
+                Some(&idx) => idx,
+                None => {
+                    let cell = lib
+                        .cell(inst.cell())
+                        .ok_or_else(|| NetlistError::UnknownCell {
+                            instance: inst.name().to_string(),
+                            cell: inst.cell().to_string(),
+                        })?;
+                    let idx = distinct.len() as u32;
+                    distinct.push(cell);
+                    by_name.insert(inst.cell(), idx);
+                    idx
+                }
+            };
+            of_inst.push(idx);
+        }
+        Ok(Self { distinct, of_inst })
+    }
+
+    /// The distinct cells the netlist instantiates, in first-use order.
+    pub fn distinct(&self) -> &[&'lib Cell] {
+        &self.distinct
+    }
+
+    /// Position of `inst`'s cell within [`Self::distinct`].
+    pub fn index(&self, inst: InstId) -> usize {
+        self.of_inst[inst.index()] as usize
+    }
+
+    /// The library cell `inst` instantiates.
+    pub fn cell(&self, inst: InstId) -> &'lib Cell {
+        self.distinct[self.index(inst)]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -138,5 +194,32 @@ mod tests {
         let c = nl.connectivity(&lib).unwrap();
         assert_eq!(c.driver(s), Some(PinRef { inst: u, pin: 3 }));
         assert_eq!(c.driver(co), Some(PinRef { inst: u, pin: 4 }));
+    }
+
+    #[test]
+    fn resolved_cells_are_distinct_in_first_use_order() {
+        let lib = Library::ninety_nm();
+        let mut nl = Netlist::new("t");
+        let a = nl.add_input("a");
+        let n1 = nl.add_fresh_net();
+        let n2 = nl.add_fresh_net();
+        let y = nl.add_output("y");
+        let u1 = nl.add_instance("u1", "INV_X1", &[a, n1]).unwrap();
+        let u2 = nl.add_instance("u2", "NAND2_X1", &[a, n1, n2]).unwrap();
+        let u3 = nl.add_instance("u3", "INV_X1", &[n2, y]).unwrap();
+        let cells = nl.resolve_cells(&lib).unwrap();
+        let names: Vec<&str> = cells.distinct().iter().map(|c| c.name()).collect();
+        assert_eq!(names, ["INV_X1", "NAND2_X1"]);
+        assert_eq!(
+            (cells.index(u1), cells.index(u2), cells.index(u3)),
+            (0, 1, 0)
+        );
+        assert_eq!(cells.cell(u3).name(), "INV_X1");
+
+        nl.set_cell(u2, "NOPE_X1");
+        assert!(matches!(
+            nl.resolve_cells(&lib),
+            Err(NetlistError::UnknownCell { .. })
+        ));
     }
 }

@@ -38,7 +38,7 @@ mod stats;
 mod verilog;
 
 pub use error::NetlistError;
-pub use graph::{Connectivity, PinRef};
+pub use graph::{Connectivity, PinRef, ResolvedCells};
 pub use netlist::{Domain, InstId, Instance, Net, NetId, Netlist, Port, PortDirection};
 pub use stats::{DesignStats, DomainStats};
 pub use verilog::{

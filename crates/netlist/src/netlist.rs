@@ -6,7 +6,7 @@ use std::fmt;
 use scpg_liberty::Library;
 
 use crate::error::NetlistError;
-use crate::graph::Connectivity;
+use crate::graph::{Connectivity, ResolvedCells};
 use crate::stats::DesignStats;
 
 /// Index of a net within its [`Netlist`].
@@ -359,6 +359,19 @@ impl Netlist {
     /// against `lib`, and [`NetlistError::MultipleDrivers`] on contention.
     pub fn connectivity(&self, lib: &Library) -> Result<Connectivity, NetlistError> {
         Connectivity::build(self, lib)
+    }
+
+    /// Looks up every instance's library cell once.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NetlistError::UnknownCell`] if an instance's cell is not
+    /// in `lib`.
+    pub fn resolve_cells<'lib>(
+        &self,
+        lib: &'lib Library,
+    ) -> Result<ResolvedCells<'lib>, NetlistError> {
+        ResolvedCells::build(self, lib)
     }
 
     /// Validates the netlist against a library.

@@ -1,7 +1,7 @@
 //! Activity-based dynamic power and state-based leakage rollups.
 
 use scpg_liberty::{Library, PvtCorner};
-use scpg_netlist::{Connectivity, Domain, NetId, Netlist, NetlistError};
+use scpg_netlist::{Connectivity, Domain, NetId, Netlist, NetlistError, ResolvedCells};
 use scpg_units::{Current, Energy, Power, Time};
 use scpg_waveform::Activity;
 
@@ -47,12 +47,17 @@ pub struct LeakageReport {
 }
 
 /// Per-design power engine.
+///
+/// Connectivity and each instance's library cell are resolved once, at
+/// construction; [`PowerAnalyzer::leakage_at`] re-evaluates the same
+/// design at any corner.
 #[derive(Debug)]
 pub struct PowerAnalyzer<'a> {
     nl: &'a Netlist,
     lib: &'a Library,
     corner: PvtCorner,
     conn: Connectivity,
+    cells: ResolvedCells<'a>,
 }
 
 impl<'a> PowerAnalyzer<'a> {
@@ -64,11 +69,13 @@ impl<'a> PowerAnalyzer<'a> {
     /// the library.
     pub fn new(nl: &'a Netlist, lib: &'a Library, corner: PvtCorner) -> Result<Self, NetlistError> {
         let conn = nl.connectivity(lib)?;
+        let cells = nl.resolve_cells(lib)?;
         Ok(Self {
             nl,
             lib,
             corner,
             conn,
+            cells,
         })
     }
 
@@ -96,8 +103,10 @@ impl<'a> PowerAnalyzer<'a> {
                 energy += Energy::new(e * net_act.toggles as f64);
                 continue;
             };
-            let cell = self.lib.expect_cell(self.nl.instance(driver.inst).cell());
-            let e = cell.switching_energy(v, self.net_load(net));
+            let e = self
+                .cells
+                .cell(driver.inst)
+                .switching_energy(v, self.net_load(net));
             energy += e * net_act.toggles as f64;
         }
         let duration = Time::from_ps(activity.duration_ps() as f64);
@@ -116,22 +125,31 @@ impl<'a> PowerAnalyzer<'a> {
     fn net_load(&self, net: NetId) -> scpg_units::Capacitance {
         let mut load = self.lib.wire_cap();
         for pin in self.conn.loads(net) {
-            load += self
-                .lib
-                .expect_cell(self.nl.instance(pin.inst).cell())
-                .input_cap();
+            load += self.cells.cell(pin.inst).input_cap();
         }
         load
     }
 
-    /// Leakage power rollup.
+    /// Leakage power rollup at the analyzer's corner.
     ///
     /// With `activity` provided, each cell's stack-effect factor is
     /// evaluated from the average observed input state; without it, the
     /// library's average-state leakage is used.
     pub fn leakage(&self, activity: Option<&Activity>) -> LeakageReport {
-        let v = self.corner.voltage;
-        let t = self.corner.temperature;
+        self.leakage_at(self.corner, activity)
+    }
+
+    /// [`Self::leakage`] at another corner: each distinct cell's leakage
+    /// current is evaluated once at `corner`, then summed per instance.
+    pub fn leakage_at(&self, corner: PvtCorner, activity: Option<&Activity>) -> LeakageReport {
+        let v = corner.voltage;
+        let t = corner.temperature;
+        let cell_current: Vec<Current> = self
+            .cells
+            .distinct()
+            .iter()
+            .map(|c| c.leakage_current(v, t))
+            .collect();
         let mut report = LeakageReport {
             total: Power::ZERO,
             combinational: Power::ZERO,
@@ -141,10 +159,9 @@ impl<'a> PowerAnalyzer<'a> {
             always_on: Power::ZERO,
             gated_domain_current: Current::ZERO,
         };
-        for (_, inst) in self.nl.iter_instances() {
-            let cell = self.lib.expect_cell(inst.cell());
-            let kind = cell.kind();
-            let mut current = cell.leakage_current(v, t);
+        for (id, inst) in self.nl.iter_instances() {
+            let kind = self.cells.cell(id).kind();
+            let mut current = cell_current[self.cells.index(id)];
             if let Some(act) = activity {
                 let n_in = kind.num_inputs();
                 if n_in > 0 {
@@ -246,6 +263,25 @@ mod tests {
         let frac = rep.gated_domain / rep.total;
         assert!((frac - 0.5).abs() < 1e-9, "half the invs are gated: {frac}");
         assert!(rep.gated_domain_current.as_na() > 0.0);
+    }
+
+    #[test]
+    fn leakage_at_a_corner_sums_each_instance_cell() {
+        let lib = lib();
+        let (nl, _) = scpg_circuits::generate_multiplier(&lib, 4);
+        let an = PowerAnalyzer::new(&nl, &lib, PvtCorner::default()).unwrap();
+        for mv in [250.0, 600.0, 900.0] {
+            let corner = PvtCorner::at_voltage(Voltage::from_mv(mv));
+            let rep = an.leakage_at(corner, None);
+            let fresh = PowerAnalyzer::new(&nl, &lib, corner).unwrap().leakage(None);
+            assert_eq!(rep, fresh, "at {mv} mV");
+            let direct = nl.iter_instances().fold(Power::ZERO, |acc, (_, inst)| {
+                acc + lib
+                    .expect_cell(inst.cell())
+                    .leakage_power(corner.voltage, corner.temperature)
+            });
+            assert_eq!(rep.total.value().to_bits(), direct.value().to_bits());
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 
 use scpg_liberty::{Library, PvtCorner};
 use scpg_netlist::Netlist;
-use scpg_sta::StaError;
+use scpg_sta::{StaError, TimingGraph};
 use scpg_units::{Energy, Frequency, Power, Voltage};
 
 use crate::analyzer::PowerAnalyzer;
@@ -70,39 +70,56 @@ impl SubthresholdCurve {
     /// characterisation voltage (obtain it by simulating a workload at
     /// 0.6 V and asking [`crate::DynamicReport::energy_per_cycle`]).
     ///
-    /// Supply points are independent, so the sweep fans out across the
+    /// The design's timing graph and power analyzer are built once; the
+    /// supply points are then independent, so they fan out across the
     /// [`scpg_exec`] pool (voltage order in the result is preserved);
     /// inside an outer parallel region — e.g. a Monte-Carlo die — it
     /// degrades to a serial loop.
     ///
     /// # Errors
     ///
-    /// Returns an [`StaError`] if timing analysis fails at any supply
-    /// (lowest-voltage failure wins).
+    /// Returns an [`StaError`] if the netlist does not resolve or has a
+    /// combinational loop.
     pub fn sweep(
         nl: &Netlist,
         lib: &Library,
         e_dyn_char: Energy,
         voltages: &[Voltage],
     ) -> Result<Self, StaError> {
-        let v_char = lib.char_voltage();
-        let points = scpg_exec::par_try_map(voltages, |_, &v| {
-            let report = scpg_sta::analyze(nl, lib, v)?;
-            let analyzer =
-                PowerAnalyzer::new(nl, lib, PvtCorner::at_voltage(v)).map_err(StaError::from)?;
-            let p_leak = analyzer.leakage(None).total;
+        let graph = TimingGraph::build(nl, lib)?;
+        let analyzer = PowerAnalyzer::new(nl, lib, PvtCorner::default())?;
+        Ok(Self::sweep_built(
+            &graph,
+            &analyzer,
+            lib.char_voltage(),
+            e_dyn_char,
+            voltages,
+        ))
+    }
+
+    /// [`Self::sweep`] over an already-built graph and analyzer of one
+    /// design whose library is characterised at `v_char`.
+    pub(crate) fn sweep_built(
+        graph: &TimingGraph<'_>,
+        analyzer: &PowerAnalyzer<'_>,
+        v_char: Voltage,
+        e_dyn_char: Energy,
+        voltages: &[Voltage],
+    ) -> Self {
+        let points = scpg_exec::par_sweep(voltages, |&v| {
+            let f_max = graph.analyze(v).f_max();
+            let p_leak = analyzer.leakage_at(PvtCorner::at_voltage(v), None).total;
             let vr = v.as_v() / v_char.as_v();
             let e_dynamic = Energy::new(e_dyn_char.value() * vr * vr);
-            let f_max = report.f_max();
-            Ok::<_, StaError>(SubthresholdPoint {
+            SubthresholdPoint {
                 voltage: v,
                 f_max,
                 p_leak,
                 e_dynamic,
                 e_leak: p_leak / f_max,
-            })
-        })?;
-        Ok(Self { points })
+            }
+        });
+        Self { points }
     }
 
     /// All sweep points, in the order given.
@@ -137,6 +154,7 @@ impl SubthresholdCurve {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use scpg_circuits::generate_multiplier;
     use scpg_liberty::Library;
     use scpg_units::linspace;
 
@@ -235,6 +253,48 @@ mod tests {
         }
         // Absurdly small budget yields nothing.
         assert!(curve.best_within_budget(Power::from_pw(1.0)).is_none());
+    }
+
+    #[test]
+    fn sweep_is_bit_identical_to_per_point_analysis() {
+        let base = Library::ninety_nm();
+        let (nl, _) = generate_multiplier(&base, 8);
+        let volts: Vec<Voltage> = linspace(0.15, 0.9, 76)
+            .into_iter()
+            .map(Voltage::from_v)
+            .collect();
+        let e_dyn = Energy::from_pj(3.0);
+        for lib in [base.clone(), base.vt_shifted(Voltage::from_mv(-30.0))] {
+            let curve = SubthresholdCurve::sweep(&nl, &lib, e_dyn, &volts).unwrap();
+            assert_eq!(curve.points().len(), volts.len());
+            for (p, &v) in curve.points().iter().zip(&volts) {
+                let f_max = scpg_sta::analyze(&nl, &lib, v).unwrap().f_max();
+                let p_leak = PowerAnalyzer::new(&nl, &lib, PvtCorner::at_voltage(v))
+                    .unwrap()
+                    .leakage(None)
+                    .total;
+                let vr = v.as_v() / lib.char_voltage().as_v();
+                let e_dynamic = Energy::new(e_dyn.value() * vr * vr);
+                let bits = |q: [f64; 5]| q.map(f64::to_bits);
+                assert_eq!(
+                    bits([
+                        p.voltage.value(),
+                        p.f_max.value(),
+                        p.p_leak.value(),
+                        p.e_dynamic.value(),
+                        p.e_leak.value()
+                    ]),
+                    bits([
+                        v.value(),
+                        f_max.value(),
+                        p_leak.value(),
+                        e_dynamic.value(),
+                        (p_leak / f_max).value()
+                    ]),
+                    "at {v}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -24,7 +24,7 @@
 
 use scpg_liberty::{Library, PvtCorner};
 use scpg_netlist::Netlist;
-use scpg_sta::StaError;
+use scpg_sta::{StaError, TimingGraph};
 use scpg_units::{Energy, Frequency, Voltage};
 
 use crate::analyzer::PowerAnalyzer;
@@ -170,18 +170,26 @@ impl VariationStudy {
         dvt: Voltage,
     ) -> Result<VariationSample, StaError> {
         let die = lib.vt_shifted(dvt);
+        // One timing graph and one analyzer per die serve both operating
+        // points and the die's own supply sweep.
+        let graph = TimingGraph::build(nl, &die)?;
+        let analyzer = PowerAnalyzer::new(nl, &die, PvtCorner::at_voltage(v_min))?;
 
-        let f_sub = scpg_sta::f_max(nl, &die, v_min)?;
-        let f_at = scpg_sta::f_max(nl, &die, v_char)?;
+        let f_sub = graph.analyze(v_min).f_max();
+        let f_at = graph.analyze(v_char).f_max();
 
-        let p_leak_sub = PowerAnalyzer::new(nl, &die, PvtCorner::at_voltage(v_min))?
-            .leakage(None)
-            .total;
+        let p_leak_sub = analyzer.leakage(None).total;
         let vr = v_min.as_v() / v_char.as_v();
         let e_dyn_sub = Energy::new(e_dyn_char.value() * vr * vr);
         let e_sub = e_dyn_sub + p_leak_sub / f_sub;
 
-        let die_curve = SubthresholdCurve::sweep(nl, &die, e_dyn_char, volts)?;
+        let die_curve = SubthresholdCurve::sweep_built(
+            &graph,
+            &analyzer,
+            die.char_voltage(),
+            e_dyn_char,
+            volts,
+        );
         let v_min_die = die_curve.minimum().expect("non-empty").voltage;
 
         Ok(VariationSample {

@@ -6,12 +6,16 @@
 //! T_setup`, which the technique converts into gated time. This crate
 //! computes those quantities from the netlist:
 //!
-//! * [`analyze`] — longest-path analysis at a supply voltage, returning
+//! * [`TimingGraph`] — the netlist's timing structure, built once: each
+//!   instance's cell, each output's load and base delay at the
+//!   characterisation voltage, the launch points, the combinational
+//!   evaluation order and the capture points. [`TimingGraph::analyze`]
+//!   runs longest-path analysis at a supply voltage, returning
 //!   [`TimingReport`] with `T_eval`, the critical path, and the minimum
-//!   clock period;
-//! * supply sweeps for the sub-threshold study (Figs. 9/10) fall out of
-//!   calling [`analyze`] per voltage, since every cell delay scales with
-//!   the shared transistor model.
+//!   clock period. Every cell delay scales with the supply through its
+//!   transistor model alone, so the supply sweeps of the sub-threshold
+//!   study (Figs. 9/10) build one graph and analyse it per voltage;
+//! * [`analyze`] — the one-shot form, building a graph for one supply.
 //!
 //! Timing arcs: primary inputs and flop/latch `Q` pins launch at the
 //! clock-to-Q delay; flop `D` pins and output ports capture; combinational
@@ -38,11 +42,14 @@
 
 #![warn(missing_docs)]
 
+#[cfg(test)]
+mod reference;
+
 use std::error::Error;
 use std::fmt;
 
 use scpg_liberty::{CellKind, Library};
-use scpg_netlist::{InstId, NetId, Netlist, NetlistError, PortDirection};
+use scpg_netlist::{InstId, NetId, Netlist, NetlistError, PortDirection, ResolvedCells};
 use scpg_units::{Frequency, Time, Voltage};
 
 /// Errors from timing analysis.
@@ -172,198 +179,284 @@ pub fn analyze_limited(
 
 /// Runs longest-path timing analysis at supply `v` (nominal temperature).
 ///
+/// A one-shot [`TimingGraph::build`] plus [`TimingGraph::analyze`]; build
+/// the graph yourself to analyse one netlist at many supplies.
+///
 /// # Errors
 ///
 /// Returns [`StaError::Netlist`] if the netlist does not resolve, or
 /// [`StaError::CombinationalLoop`] if combinational cells form a cycle.
 pub fn analyze(nl: &Netlist, lib: &Library, v: Voltage) -> Result<TimingReport, StaError> {
-    let conn = nl.connectivity(lib)?;
-    let n_nets = nl.nets().len();
+    Ok(TimingGraph::build(nl, lib)?.analyze(v))
+}
 
-    // Per-net arrival time (ps) and the instance that set it.
-    let mut arrival: Vec<f64> = vec![f64::NEG_INFINITY; n_nets];
-    let mut from: Vec<Option<InstId>> = vec![None; n_nets];
+/// A netlist's timing structure, built once and analysed at any supply.
+///
+/// Everything that does not depend on the supply is resolved at build
+/// time into flat arrays: each instance's library cell, each output's
+/// load and base delay ([`scpg_liberty::Cell::delay_base`]), the
+/// launch points, the combinational evaluation order and the capture
+/// points. [`TimingGraph::analyze`] is then one pass that scales each
+/// base delay by its cell's [`scpg_liberty::TransistorModel::delay_scale`],
+/// evaluated once per distinct cell.
+///
+/// Launch points count as sourced whatever their clock-to-Q delay, so
+/// the evaluation order is fixed at build time and does not depend on
+/// the supply.
+#[derive(Debug, Clone)]
+pub struct TimingGraph<'lib> {
+    cells: ResolvedCells<'lib>,
+    /// CSR: instance `i`'s input nets are `in_net[in_start[i]..in_start[i + 1]]`.
+    in_start: Vec<u32>,
+    in_net: Vec<NetId>,
+    /// CSR: instance `i`'s output arcs are `arc_start[i]..arc_start[i + 1]`,
+    /// each an output net and its delay at the characterisation voltage.
+    arc_start: Vec<u32>,
+    arc_net: Vec<NetId>,
+    arc_base: Vec<Time>,
+    /// Per-net arrival (ps) before any cell fires: 0 for primary inputs,
+    /// header rails and undriven nets, `-inf` elsewhere.
+    init_arrival: Vec<f64>,
+    /// Sequential instances, in instance order.
+    launch: Vec<InstId>,
+    /// Combinational instances, in evaluation (topological) order.
+    order: Vec<InstId>,
+    /// Flop/latch data nets, then output-port nets.
+    capture: Vec<NetId>,
+    t_setup: Time,
+    t_hold: Time,
+}
 
-    // Sources: primary inputs at t=0; sequential outputs at clock-to-Q;
-    // header rails and undriven nets at t=0 (constants).
-    let mut t_setup = Time::ZERO;
-    let mut t_hold = Time::ZERO;
-    for p in nl.ports() {
-        if p.direction == PortDirection::Input {
-            arrival[p.net.index()] = 0.0;
+impl<'lib> TimingGraph<'lib> {
+    /// Resolves `nl` against `lib` and orders its combinational cells.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StaError::Netlist`] if the netlist does not resolve, or
+    /// [`StaError::CombinationalLoop`] if combinational cells form a cycle.
+    pub fn build(nl: &Netlist, lib: &'lib Library) -> Result<Self, StaError> {
+        let conn = nl.connectivity(lib)?;
+        let cells = nl.resolve_cells(lib)?;
+        let n_nets = nl.nets().len();
+        let n_inst = nl.instances().len();
+
+        let mut in_start = Vec::with_capacity(n_inst + 1);
+        let mut in_net = Vec::new();
+        let mut arc_start = Vec::with_capacity(n_inst + 1);
+        let mut arc_net = Vec::new();
+        let mut arc_base = Vec::new();
+        in_start.push(0);
+        arc_start.push(0);
+        for (id, inst) in nl.iter_instances() {
+            let cell = cells.cell(id);
+            let (ins, outs) = inst.connections().split_at(cell.kind().num_inputs());
+            in_net.extend_from_slice(ins);
+            for &out in outs {
+                let mut load = lib.wire_cap();
+                for pin in conn.loads(out) {
+                    load += cells.cell(pin.inst).input_cap();
+                }
+                arc_net.push(out);
+                arc_base.push(cell.delay_base(load));
+            }
+            in_start.push(in_net.len() as u32);
+            arc_start.push(arc_net.len() as u32);
         }
-    }
-    for (id, inst) in nl.iter_instances() {
-        let cell = lib.expect_cell(inst.cell());
-        let kind = cell.kind();
-        if kind.is_sequential() {
-            t_setup = t_setup.max(cell.setup_time());
-            t_hold = t_hold.max(cell.hold_time());
-            let n_in = kind.num_inputs();
-            for &q in &inst.connections()[n_in..] {
-                let clk_q = cell.delay(v, load_of(nl, lib, &conn, q));
-                if clk_q.as_ps() > arrival[q.index()] {
-                    arrival[q.index()] = clk_q.as_ps();
-                    from[q.index()] = Some(id);
+
+        // Sources: primary inputs at t=0; header rails and undriven nets
+        // at t=0 (constants). Sequential outputs launch at clock-to-Q.
+        let mut init_arrival = vec![f64::NEG_INFINITY; n_nets];
+        for p in nl.ports() {
+            if p.direction == PortDirection::Input {
+                init_arrival[p.net.index()] = 0.0;
+            }
+        }
+        let mut launch = Vec::new();
+        let mut capture = Vec::new();
+        let mut t_setup = Time::ZERO;
+        let mut t_hold = Time::ZERO;
+        let mut sourced: Vec<bool> = vec![false; n_nets];
+        for (id, inst) in nl.iter_instances() {
+            let cell = cells.cell(id);
+            let kind = cell.kind();
+            let outs = &inst.connections()[kind.num_inputs()..];
+            if kind.is_sequential() {
+                t_setup = t_setup.max(cell.setup_time());
+                t_hold = t_hold.max(cell.hold_time());
+                launch.push(id);
+                // Data input is pin 0 by convention (D).
+                capture.push(inst.connections()[0]);
+                for &q in outs {
+                    sourced[q.index()] = true;
+                }
+            } else if kind == CellKind::Header {
+                for &out in outs {
+                    init_arrival[out.index()] = 0.0;
                 }
             }
-        } else if kind == CellKind::Header {
-            for &out in &inst.connections()[kind.num_inputs()..] {
-                arrival[out.index()] = arrival[out.index()].max(0.0);
+        }
+        for p in nl.ports() {
+            if p.direction == PortDirection::Output {
+                capture.push(p.net);
             }
         }
-    }
-    for (i, a) in arrival.iter_mut().enumerate().take(n_nets) {
-        if conn.driver(NetId::from_index(i)).is_none() && *a == f64::NEG_INFINITY {
+        for (i, a) in init_arrival.iter_mut().enumerate() {
             // Undriven-but-read nets would fail validation; treat as t=0
             // so analysis is robust on partial designs.
-            *a = 0.0;
-        }
-    }
-
-    // Kahn's algorithm over combinational cells.
-    let mut pending: Vec<usize> = Vec::with_capacity(nl.instances().len());
-    let mut comb: Vec<bool> = Vec::with_capacity(nl.instances().len());
-    for (_, inst) in nl.iter_instances() {
-        let kind = lib.expect_cell(inst.cell()).kind();
-        let is_comb = kind.is_combinational();
-        comb.push(is_comb);
-        pending.push(if is_comb { kind.num_inputs() } else { 0 });
-    }
-    // Input readiness: an input is ready when its net has a finite arrival.
-    // Start with inputs whose nets are already sourced.
-    let mut ready: Vec<InstId> = Vec::new();
-    let mut remaining: Vec<usize> = pending.clone();
-    for (id, inst) in nl.iter_instances() {
-        if !comb[id.index()] {
-            continue;
-        }
-        let kind = lib.expect_cell(inst.cell()).kind();
-        let n_ready = inst.connections()[..kind.num_inputs()]
-            .iter()
-            .filter(|n| arrival[n.index()].is_finite())
-            .count();
-        remaining[id.index()] = kind.num_inputs() - n_ready;
-        if remaining[id.index()] == 0 {
-            ready.push(id);
-        }
-    }
-
-    let mut processed = 0usize;
-    let total_comb = comb.iter().filter(|&&c| c).count();
-    while let Some(id) = ready.pop() {
-        processed += 1;
-        let inst = nl.instance(id);
-        let cell = lib.expect_cell(inst.cell());
-        let kind = cell.kind();
-        let n_in = kind.num_inputs();
-        let in_arr = inst.connections()[..n_in]
-            .iter()
-            .map(|n| arrival[n.index()])
-            .fold(0.0_f64, f64::max);
-        for &out in &inst.connections()[n_in..] {
-            let d = cell.delay(v, load_of(nl, lib, &conn, out));
-            let t = in_arr + d.as_ps();
-            if t > arrival[out.index()] {
-                arrival[out.index()] = t;
-                from[out.index()] = Some(id);
+            if conn.driver(NetId::from_index(i)).is_none() {
+                *a = 0.0;
             }
-            // Wake readers whose inputs are now all sourced.
-            for pin in conn.loads(out) {
-                let r = pin.inst.index();
-                if comb[r] && remaining[r] > 0 {
-                    remaining[r] -= 1;
-                    if remaining[r] == 0 {
-                        ready.push(pin.inst);
+            sourced[i] |= a.is_finite();
+        }
+
+        // Kahn's algorithm over combinational cells: a cell is ready once
+        // every input pin's net is sourced. The ready list is a stack.
+        let comb: Vec<bool> = nl
+            .iter_instances()
+            .map(|(id, _)| cells.cell(id).kind().is_combinational())
+            .collect();
+        let mut remaining: Vec<usize> = vec![0; n_inst];
+        let mut ready: Vec<InstId> = Vec::new();
+        for (id, _) in nl.iter_instances() {
+            if !comb[id.index()] {
+                continue;
+            }
+            let ins = &in_net[in_start[id.index()] as usize..in_start[id.index() + 1] as usize];
+            remaining[id.index()] = ins.iter().filter(|n| !sourced[n.index()]).count();
+            if remaining[id.index()] == 0 {
+                ready.push(id);
+            }
+        }
+        let mut order = Vec::with_capacity(n_inst);
+        while let Some(id) = ready.pop() {
+            order.push(id);
+            let arcs = arc_start[id.index()] as usize..arc_start[id.index() + 1] as usize;
+            for &out in &arc_net[arcs] {
+                // Wake readers whose inputs are now all sourced.
+                for pin in conn.loads(out) {
+                    let r = pin.inst.index();
+                    if comb[r] && remaining[r] > 0 {
+                        remaining[r] -= 1;
+                        if remaining[r] == 0 {
+                            ready.push(pin.inst);
+                        }
                     }
                 }
             }
         }
-    }
-    if processed < total_comb {
-        // Some combinational cell never became ready: a loop. Identify a
-        // net on it for the report.
-        let victim = nl
-            .iter_instances()
-            .find(|(id, _)| comb[id.index()] && remaining[id.index()] > 0)
-            .map(|(_, inst)| nl.net(inst.connections()[0]).name().to_string())
-            .unwrap_or_default();
-        return Err(StaError::CombinationalLoop { net: victim });
+        if order.len() < comb.iter().filter(|&&c| c).count() {
+            // Some combinational cell never became ready: a loop. Identify
+            // a net on it for the report.
+            let victim = nl
+                .iter_instances()
+                .find(|(id, _)| comb[id.index()] && remaining[id.index()] > 0)
+                .map(|(_, inst)| nl.net(inst.connections()[0]).name().to_string())
+                .unwrap_or_default();
+            return Err(StaError::CombinationalLoop { net: victim });
+        }
+
+        Ok(Self {
+            cells,
+            in_start,
+            in_net,
+            arc_start,
+            arc_net,
+            arc_base,
+            init_arrival,
+            launch,
+            order,
+            capture,
+            t_setup,
+            t_hold,
+        })
     }
 
-    // Capture points: flop D inputs (all non-clock sequential inputs) and
-    // output ports.
-    let mut worst = 0.0_f64;
-    let mut worst_net: Option<NetId> = None;
-    for (_, inst) in nl.iter_instances() {
-        let kind = lib.expect_cell(inst.cell()).kind();
-        if !kind.is_sequential() {
-            continue;
-        }
-        // Data input is pin 0 by convention (D).
-        let d_net = inst.connections()[0];
-        if arrival[d_net.index()].is_finite() && arrival[d_net.index()] > worst {
-            worst = arrival[d_net.index()];
-            worst_net = Some(d_net);
-        }
-    }
-    for p in nl.ports() {
-        if p.direction == PortDirection::Output
-            && arrival[p.net.index()].is_finite()
-            && arrival[p.net.index()] > worst
-        {
-            worst = arrival[p.net.index()];
-            worst_net = Some(p.net);
-        }
+    fn inputs(&self, id: InstId) -> &[NetId] {
+        &self.in_net[self.in_start[id.index()] as usize..self.in_start[id.index() + 1] as usize]
     }
 
-    // Trace the critical path backwards.
-    let mut critical_path = Vec::new();
-    let mut cursor = worst_net;
-    while let Some(net) = cursor {
-        match from[net.index()] {
-            Some(inst_id) => {
-                critical_path.push(inst_id);
-                // Predecessor: the input of `inst_id` with max arrival.
-                let inst = nl.instance(inst_id);
-                let kind = lib.expect_cell(inst.cell()).kind();
-                cursor = inst.connections()[..kind.num_inputs()]
+    fn arcs(&self, id: InstId) -> std::ops::Range<usize> {
+        self.arc_start[id.index()] as usize..self.arc_start[id.index() + 1] as usize
+    }
+
+    /// Longest-path analysis at supply `v` (nominal temperature).
+    pub fn analyze(&self, v: Voltage) -> TimingReport {
+        let scale: Vec<f64> = self
+            .cells
+            .distinct()
+            .iter()
+            .map(|c| c.model().delay_scale(v))
+            .collect();
+        let delay_ps =
+            |id: InstId, arc: usize| (self.arc_base[arc] * scale[self.cells.index(id)]).as_ps();
+
+        // Per-net arrival time (ps) and the instance that set it.
+        let mut arrival = self.init_arrival.clone();
+        let mut from: Vec<Option<InstId>> = vec![None; arrival.len()];
+        for &id in &self.launch {
+            for arc in self.arcs(id) {
+                let q = self.arc_net[arc].index();
+                let clk_q = delay_ps(id, arc);
+                if clk_q > arrival[q] {
+                    arrival[q] = clk_q;
+                    from[q] = Some(id);
+                }
+            }
+        }
+        for &id in &self.order {
+            let in_arr = self
+                .inputs(id)
+                .iter()
+                .map(|n| arrival[n.index()])
+                .fold(0.0_f64, f64::max);
+            for arc in self.arcs(id) {
+                let out = self.arc_net[arc].index();
+                let t = in_arr + delay_ps(id, arc);
+                if t > arrival[out] {
+                    arrival[out] = t;
+                    from[out] = Some(id);
+                }
+            }
+        }
+
+        let mut worst = 0.0_f64;
+        let mut worst_net: Option<NetId> = None;
+        for &net in &self.capture {
+            let a = arrival[net.index()];
+            if a.is_finite() && a > worst {
+                worst = a;
+                worst_net = Some(net);
+            }
+        }
+
+        // Trace the critical path backwards to a launch point.
+        let mut critical_path = Vec::new();
+        let mut cursor = worst_net;
+        while let Some(id) = cursor.and_then(|net| from[net.index()]) {
+            critical_path.push(id);
+            // Predecessor: the input of `id` with max arrival.
+            cursor = if self.cells.cell(id).kind().is_sequential() {
+                None
+            } else {
+                self.inputs(id)
                     .iter()
                     .copied()
                     .filter(|n| arrival[n.index()].is_finite())
-                    .max_by(|a, b| arrival[a.index()].total_cmp(&arrival[b.index()]));
-                // Stop at sequential launch points.
-                if kind.is_sequential() {
-                    cursor = None;
-                }
-            }
-            None => cursor = None,
+                    .max_by(|a, b| arrival[a.index()].total_cmp(&arrival[b.index()]))
+            };
+        }
+        critical_path.reverse();
+
+        let t_eval = Time::from_ps(worst);
+        TimingReport {
+            voltage: v,
+            t_eval,
+            t_setup: self.t_setup,
+            t_hold: self.t_hold,
+            min_period: t_eval + self.t_setup,
+            critical_path,
         }
     }
-    critical_path.reverse();
-
-    let t_eval = Time::from_ps(worst);
-    Ok(TimingReport {
-        voltage: v,
-        t_eval,
-        t_setup,
-        t_hold,
-        min_period: t_eval + t_setup,
-        critical_path,
-    })
-}
-
-fn load_of(
-    nl: &Netlist,
-    lib: &Library,
-    conn: &scpg_netlist::Connectivity,
-    net: NetId,
-) -> scpg_units::Capacitance {
-    let mut load = lib.wire_cap();
-    for pin in conn.loads(net) {
-        load += lib.expect_cell(nl.instance(pin.inst).cell()).input_cap();
-    }
-    load
 }
 
 /// Maximum operating frequency of `nl` at supply `v`.
