@@ -12,8 +12,8 @@
 //!    for commit at the next edge;
 //! 4. completes the low phase.
 //!
-//! [`CpuHarness::record`] captures the per-cycle input trace
-//! (`imem_data`, `dmem_rdata`) so SCPG power runs can *replay* identical
+//! Each cycle appends its inputs (`imem_data`, `dmem_rdata`) to the
+//! trace behind [`CpuHarness::trace`], so SCPG power runs can *replay* identical
 //! stimulus through a sub-clock-gated netlist without re-deriving memory
 //! behaviour (the same trick the paper uses by extracting VCD activity
 //! once and reusing it).

@@ -2,12 +2,15 @@
 //!
 //! ```text
 //! scpg-flow <netlist.v> --clock <net> [--out <dir>] [--energy-pj <E>]
-//!           [--fanout <N>]
+//!           [--fanout <N>] [--library <file.lib>]
 //! ```
 //!
 //! Reads a structural Verilog netlist (the subset emitted by this
 //! workspace — see `scpg_netlist::parse_verilog`), runs the full Fig. 5
-//! flow against the bundled 90 nm kit, and writes next to it:
+//! flow against the bundled 90 nm kit — or against a Liberty library
+//! given with `--library`, read by `scpg_liberty::parse_liberty` and
+//! evaluated through its NLDM tables, as `POST /v1/libraries` uploads
+//! are — and writes next to the netlist:
 //!
 //! * `<name>_scpg.v`   — the transformed netlist,
 //! * `<name>_split.v`  — the two-domain split form (flow step 1),
@@ -18,7 +21,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use scpg::ScpgFlow;
-use scpg_liberty::Library;
+use scpg_liberty::{EvalBackend, Library};
 use scpg_netlist::{emit_verilog, parse_verilog};
 use scpg_units::Energy;
 
@@ -90,9 +93,14 @@ fn run() -> Result<(), String> {
         Some(path) => {
             let lib_text = std::fs::read_to_string(path)
                 .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-            let lib = scpg_liberty::parse_library(&lib_text)?;
-            println!("loaded library `{}` from {}", lib.name(), path.display());
-            lib
+            let parsed = scpg_liberty::parse_liberty(&lib_text)
+                .map_err(|e| format!("{}: {e}", path.display()))?;
+            println!(
+                "loaded library `{}` from {}",
+                parsed.library.name(),
+                path.display()
+            );
+            parsed.library.with_backend(EvalBackend::Table)
         }
         None => Library::ninety_nm(),
     };

@@ -41,7 +41,6 @@
 
 mod backend;
 mod cell;
-pub mod format;
 mod headers;
 pub mod liberty_text;
 mod library;
@@ -51,7 +50,6 @@ mod nldm;
 
 pub use backend::{AnalyticalBackend, EvalBackend, PowerBackend, TableBackend, TimingBackend};
 pub use cell::{Cell, CellKind, Outputs, PinDirection, SequentialKind};
-pub use format::{parse_library, write_library};
 pub use headers::{HeaderCell, HeaderSize};
 pub use liberty_text::{parse_liberty, write_liberty, LibertyError, LibertySummary, ParsedLiberty};
 pub use library::{Library, LibraryBuilder, ProcessCorner, PvtCorner};

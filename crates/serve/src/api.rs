@@ -489,6 +489,38 @@ pub fn parse_activity(
     ))
 }
 
+/// A parsed analysis request, as both the interactive endpoints and
+/// batch jobs consume it. The route table picks the parser.
+pub(crate) enum ApiRequest {
+    /// `/v1/sweep`, `/v1/table` or `/v1/headline`.
+    Query { spec: DesignSpec, query: Query },
+    Variation {
+        spec: DesignSpec,
+        cfg: VariationConfig,
+    },
+    Activity {
+        spec: DesignSpec,
+        request: ActivityRequest,
+    },
+    Compare {
+        spec: DesignSpec,
+        frequencies: Vec<Frequency>,
+        techniques: Vec<CompareTechnique>,
+    },
+}
+
+impl ApiRequest {
+    /// The design the request analyses.
+    pub(crate) fn design(&self) -> &DesignSpec {
+        match self {
+            ApiRequest::Query { spec, .. }
+            | ApiRequest::Variation { spec, .. }
+            | ApiRequest::Activity { spec, .. }
+            | ApiRequest::Compare { spec, .. } => spec,
+        }
+    }
+}
+
 /// The `/v1/activity` response document. Deliberately engine-free: the
 /// body must be byte-identical whether the bit-parallel fast path or the
 /// event-engine fallback produced it (the engine is visible in traces and

@@ -40,7 +40,8 @@ use std::time::{Duration, Instant};
 use crate::http::{self, HttpError, RequestParser};
 use crate::poller::Poller;
 use crate::queue::Slot;
-use crate::{api, Outcome, Reply, RequestTrace, Shared};
+use crate::routes::REFUSED;
+use crate::{error_reply, Outcome, Reply, RequestTrace, Shared};
 
 const LISTENER_TOKEN: u64 = 0;
 const WAKE_TOKEN: u64 = 1;
@@ -412,25 +413,11 @@ impl EventLoop {
                     self.process_request(token, req, parse_started);
                 }
                 Step::Drain503(req) => {
-                    // Event-loop refusals are first-class in the request
-                    // accounting: `endpoint="(refused)"` rather than
-                    // vanishing into "other" with no request count.
-                    self.shared.metrics.inc_request("(refused)");
-                    let trace = RequestTrace {
-                        endpoint: Some("(refused)"),
-                        trace_id: request_trace_id(&req),
-                        ..RequestTrace::default()
-                    };
-                    self.finish(
+                    self.refuse(
                         token,
-                        trace,
-                        Instant::now(),
-                        (
-                            503,
-                            "application/json",
-                            api::error_body("server is shutting down; retry elsewhere"),
-                        ),
-                        false,
+                        request_trace_id(&req),
+                        503,
+                        "server is shutting down; retry elsewhere",
                     );
                 }
                 Step::Refuse(err) => {
@@ -447,17 +434,7 @@ impl EventLoop {
                             return;
                         }
                     };
-                    self.shared.metrics.inc_request("(refused)");
-                    self.finish(
-                        token,
-                        RequestTrace {
-                            endpoint: Some("(refused)"),
-                            ..RequestTrace::default()
-                        },
-                        Instant::now(),
-                        (status, "application/json", api::error_body(why)),
-                        false,
-                    );
+                    self.refuse(token, String::new(), status, why);
                 }
             }
         }
@@ -488,7 +465,7 @@ impl EventLoop {
                     .metrics
                     .handler_panics
                     .fetch_add(1, Ordering::Relaxed);
-                Outcome::Ready((500, "application/json", api::error_body("internal error")))
+                Outcome::Ready(error_reply(500, "internal error"))
             }
         };
         // The loop-side CPU cost of routing this request (cache lookup,
@@ -574,6 +551,26 @@ impl EventLoop {
         }
     }
 
+    /// Answers a request the loop refused without routing it, and closes
+    /// the connection after the reply. Such refusals are first-class in
+    /// the request accounting: counted under [`REFUSED`] rather than
+    /// vanishing into "other" with no request count.
+    fn refuse(&mut self, token: u64, trace_id: String, status: u16, why: &str) {
+        self.shared.metrics.inc_request(REFUSED);
+        let trace = RequestTrace {
+            endpoint: Some(REFUSED),
+            trace_id,
+            ..RequestTrace::default()
+        };
+        self.finish(
+            token,
+            trace,
+            Instant::now(),
+            error_reply(status, why),
+            false,
+        );
+    }
+
     /// Records metrics/histograms/spans for one finished request and
     /// queues its encoded response bytes on the connection.
     fn finish(
@@ -633,20 +630,11 @@ impl EventLoop {
         for token in idle_partial {
             // A stalled mid-request client gets told why before the
             // close — the old blocking server dropped it voiceless.
-            self.shared.metrics.inc_request("(refused)");
-            self.finish(
+            self.refuse(
                 token,
-                RequestTrace {
-                    endpoint: Some("(refused)"),
-                    ..RequestTrace::default()
-                },
-                Instant::now(),
-                (
-                    408,
-                    "application/json",
-                    api::error_body("timed out waiting for a complete request"),
-                ),
-                false,
+                String::new(),
+                408,
+                "timed out waiting for a complete request",
             );
             self.drive(token);
         }
@@ -688,11 +676,7 @@ impl EventLoop {
                         token,
                         trace,
                         pending.started,
-                        (
-                            504,
-                            "application/json",
-                            api::error_body("deadline expired before the job completed"),
-                        ),
+                        error_reply(504, "deadline expired before the job completed"),
                         pending.keep_alive,
                     );
                 }

@@ -10,7 +10,8 @@
 //! * `POST /v1/sweep` / `/v1/table` / `/v1/headline` / `/v1/variation` —
 //!   JSON queries (see [`api`] for the wire format);
 //! * `POST /v1/compare` — a bake-off of registered low-power techniques
-//!   (`baseline`, `scpg`, `ctsg`, `lector`, see [`scpg_technique`]):
+//!   (`baseline`, `scpg`, `ctsg`, `ddcg`, `lector`, see
+//!   [`scpg_technique`]):
 //!   per-technique power/area/delay across a frequency sweep, with the
 //!   `scpg` row bit-identical to `/v1/sweep` for the same design;
 //! * `POST /v1/netlists` — upload a structural-Verilog design; it is
@@ -25,6 +26,10 @@
 //!   echoed on the response) under which its per-stage spans are filed;
 //! * `GET /healthz` — liveness;
 //! * `GET /metrics` — Prometheus text ([`metrics`]).
+//!
+//! [`routes::ROUTES`] is the one list of these resources: dispatch,
+//! `404`/`405` answers, metric labels and batch-job kinds all derive
+//! from it.
 //!
 //! The serving model, back to front:
 //!
@@ -73,6 +78,7 @@ pub mod http;
 pub mod metrics;
 mod poller;
 pub mod queue;
+pub mod routes;
 
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -81,7 +87,6 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use scpg::service::{Query, QueryLimits, QueryOutcome};
-use scpg::Mode;
 use scpg_jobs::{
     CancelOutcome, ChunkExecutor, ChunkRun, JobLimits, JobManager, JobSpec, LibraryLimits,
     LibraryRegistry, LibraryUploadError, NetlistLimits, NetlistRegistry, Store, SubmitError,
@@ -93,11 +98,13 @@ use scpg_power::{VariationConfig, VariationStudy};
 use scpg_technique::{TechniqueError, TechniqueRegistry};
 use scpg_units::Frequency;
 
+use crate::api::ApiRequest;
 use crate::cache::ShardedCache;
-use crate::designs::{DesignRegistry, DesignSpec};
+use crate::designs::{DesignArtifact, DesignRegistry, DesignSpec};
 use crate::http::Request;
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::queue::{Job, JobOutput, JobTiming, Slot, Work, WorkQueue};
+use crate::routes::{Call, Lane, Record};
 
 /// Server configuration. [`Default`] is a loopback service on an
 /// ephemeral port, sized for this machine.
@@ -274,6 +281,12 @@ impl Shared {
     /// Drains pending completion tokens (event-loop side).
     fn take_completions(&self) -> Vec<u64> {
         std::mem::take(&mut *self.completions.lock().expect("completions poisoned"))
+    }
+
+    /// The design artifact a request names, built on first use.
+    fn artifact(&self, spec: &DesignSpec) -> Result<Arc<DesignArtifact>, String> {
+        self.registry
+            .get(spec, Some(&self.netlists), Some(&self.libraries))
     }
 
     /// Uniform [`scpg_trace::Introspect`] rows over every bounded
@@ -633,6 +646,9 @@ fn run_batch_chunk(shared: &Arc<Shared>, id: String) {
 #[derive(Default)]
 struct RequestTrace {
     endpoint: Option<&'static str>,
+    /// What this request leaves in the trace store and event log: its
+    /// route's, or everything when no route matched.
+    record: Record,
     /// The request's trace id: the validated `x-scpg-trace-id` header
     /// value, or a generated one. Echoed on the response and used as the
     /// key for the spans this request files into the trace store.
@@ -720,9 +736,7 @@ fn finish_reply(
 /// Emits one request's canonical wide event into the event log: the
 /// single row per request carrying everything an operator filters on
 /// (endpoint, status, timing breakdown, CPU columns, worker
-/// annotations). `/v1/logs` and `/v1/status` are exempt — a dashboard
-/// polling the introspection plane must not evict the very events being
-/// read.
+/// annotations). Routes that record [`Record::Nothing`] are exempt.
 fn record_wide_event(
     shared: &Arc<Shared>,
     trace: &RequestTrace,
@@ -730,7 +744,7 @@ fn record_wide_event(
     status: u16,
     total: Duration,
 ) {
-    if matches!(endpoint, "logs" | "status") {
+    if trace.record == Record::Nothing {
         return;
     }
     let mut ev = scpg_trace::WideEvent::new("request", endpoint, status);
@@ -745,33 +759,11 @@ fn record_wide_event(
     shared.events.record(ev);
 }
 
-/// The `Allow` header value for a 405 on a known path.
-fn allow_for(path: &str) -> Option<&'static str> {
-    match path {
-        "/healthz" | "/metrics" | "/v1/designs" | "/v1/logs" | "/v1/status" => Some("GET"),
-        "/v1/sweep" | "/v1/table" | "/v1/headline" | "/v1/variation" | "/v1/activity"
-        | "/v1/compare" | "/v1/netlists" | "/v1/libraries" => Some("POST"),
-        "/v1/jobs" => Some("POST, GET"),
-        _ if path.starts_with("/v1/traces") => Some("GET"),
-        _ if path.starts_with("/v1/jobs/") => {
-            if path.ends_with("/result") {
-                Some("GET")
-            } else {
-                Some("GET, DELETE")
-            }
-        }
-        _ => None,
-    }
-}
-
 /// Files one request's spans into the trace store: each stage that ran,
 /// laid out back-to-back from the request start, then a `request`
 /// umbrella span covering the whole wall time with the endpoint, status
-/// and worker-side annotations attached.
-///
-/// Trace-introspection endpoints do not record themselves — reading
-/// `/v1/traces` in a polling loop would otherwise evict the very traces
-/// being read.
+/// and worker-side annotations attached. Only routes that record
+/// [`Record::All`] file spans.
 fn record_request_spans(
     shared: &Arc<Shared>,
     trace: &RequestTrace,
@@ -780,10 +772,7 @@ fn record_request_spans(
     total: Duration,
     stages: &[(&'static str, Duration)],
 ) {
-    if matches!(
-        endpoint,
-        "traces" | "metrics" | "healthz" | "logs" | "status"
-    ) {
+    if trace.record != Record::All {
         return;
     }
     // Stage offsets are cumulative in pipeline order — an approximation
@@ -818,6 +807,22 @@ fn record_request_spans(
 
 type Reply = (u16, &'static str, Vec<u8>);
 
+/// A JSON reply carrying `doc`.
+fn json_reply(status: u16, doc: &Json) -> Reply {
+    (status, "application/json", doc.write().into_bytes())
+}
+
+/// A JSON error reply: `{"error": message}`.
+fn error_reply(status: u16, message: &str) -> Reply {
+    (status, "application/json", api::error_body(message))
+}
+
+/// A request body parsed as JSON; anything else is a `400`.
+fn json_body(raw: &[u8]) -> Result<Json, Reply> {
+    let text = std::str::from_utf8(raw).map_err(|_| error_reply(400, "body is not UTF-8"))?;
+    Json::parse(text).map_err(|e| error_reply(400, &e.to_string()))
+}
+
 /// What routing a request produced: either a reply computed inline
 /// (cache hits, admission refusals, introspection endpoints) or a job
 /// admitted to the worker queue whose [`Slot`] the event loop must watch
@@ -833,15 +838,6 @@ impl From<Reply> for Outcome {
     }
 }
 
-/// Splits `path?query` into the routable path and the raw query string
-/// (empty when absent). Exact-match routes ignore the query entirely.
-fn split_query(path: &str) -> (&str, &str) {
-    match path.split_once('?') {
-        Some((p, q)) => (p, q),
-        None => (path, ""),
-    }
-}
-
 /// The raw value of `key` in an `a=1&b=2` query string. No percent
 /// decoding: every value these endpoints accept is URL-safe already.
 fn query_param<'a>(query: &'a str, key: &str) -> Option<&'a str> {
@@ -852,140 +848,126 @@ fn query_param<'a>(query: &'a str, key: &str) -> Option<&'a str> {
         .map(|(_, v)| v)
 }
 
+/// The numeric query parameter `key`, if present. A value that does not
+/// parse is a `422` reading "{key} {must}" rather than silently matching
+/// everything — a typo in a triage query must not look like "no slow
+/// requests".
+fn query_number<T: std::str::FromStr>(
+    query: &str,
+    key: &str,
+    must: &str,
+) -> Result<Option<T>, Reply> {
+    query_param(query, key)
+        .map(|raw| {
+            raw.parse()
+                .map_err(|_| error_reply(422, &format!("{key} {must}")))
+        })
+        .transpose()
+}
+
+/// Routes one request through [`routes::ROUTES`]: a path no row matches
+/// is a `404`, a method its row does not serve a `405` with the row's
+/// `Allow` and message. Every routed request counts under its row's
+/// endpoint, whatever the reply.
 fn respond(shared: &Arc<Shared>, req: &Request, trace: &mut RequestTrace) -> Outcome {
-    let (path, _query) = split_query(&req.path);
-    match (req.method.as_str(), path) {
-        ("POST", "/v1/sweep") => handle_api(shared, "sweep", &req.body, trace),
-        ("POST", "/v1/table") => handle_api(shared, "table", &req.body, trace),
-        ("POST", "/v1/headline") => handle_api(shared, "headline", &req.body, trace),
-        ("POST", "/v1/variation") => handle_api(shared, "variation", &req.body, trace),
-        ("POST", "/v1/activity") => handle_api(shared, "activity", &req.body, trace),
-        ("POST", "/v1/compare") => handle_api(shared, "compare", &req.body, trace),
-        _ => respond_inline(shared, req, trace).into(),
-    }
-}
-
-/// Routes everything that always answers inline (no worker queue).
-fn respond_inline(shared: &Arc<Shared>, req: &Request, trace: &mut RequestTrace) -> Reply {
-    let (path, query) = split_query(&req.path);
-    match (req.method.as_str(), path) {
-        ("GET", "/healthz") => {
-            shared.metrics.inc_request("healthz");
-            trace.endpoint = Some("healthz");
-            (200, "application/json", br#"{"status":"ok"}"#.to_vec())
-        }
-        ("GET", "/metrics") => {
-            shared.metrics.inc_request("metrics");
-            trace.endpoint = Some("metrics");
-            let mut text = shared.metrics.render(
-                shared.queue.depth(),
-                shared.queue.capacity(),
-                shared.in_flight_conns.load(Ordering::SeqCst),
-                shared.cache.len(),
-                shared.config.workers.max(2),
-                shared.queue.batch_depth(),
-            );
-            // Trace-store occupancy, owned by this module (the store
-            // lives here, not in `metrics`).
-            text.push_str(&format!(
-                "# HELP scpg_trace_store_entries Traces currently held by the trace store.\n\
-                 # TYPE scpg_trace_store_entries gauge\n\
-                 scpg_trace_store_entries {}\n",
-                shared.traces.len()
-            ));
-            text.push_str(&format!(
-                "# HELP scpg_trace_store_evicted_total Traces evicted to stay within capacity.\n\
-                 # TYPE scpg_trace_store_evicted_total counter\n\
-                 scpg_trace_store_evicted_total {}\n",
-                shared.traces.evicted()
-            ));
-            // Build identity + uptime, then the uniform per-store gauge
-            // families (one `store=` label per bounded structure).
-            text.push_str(&metrics::render_build_info(
-                shared.started.elapsed().as_secs_f64(),
-            ));
-            text.push_str(&metrics::render_stores(&shared.store_stats()));
-            // This server's latency histograms, then the process-wide
-            // engine-stage histograms (distinct family names, so the
-            // concatenation stays valid exposition text).
-            text.push_str(&shared.trace.render());
-            text.push_str(&scpg_trace::global().render());
-            (200, "text/plain; version=0.0.4", text.into_bytes())
-        }
-        ("POST", "/v1/netlists") => handle_netlist_upload(shared, req, trace),
-        ("POST", "/v1/libraries") => handle_library_upload(shared, req, trace),
-        ("GET", "/v1/designs") => {
-            shared.metrics.inc_request("designs");
-            trace.endpoint = Some("designs");
-            let doc = api::designs_response(
-                &shared.config.limits,
-                shared.netlists.summaries(),
-                shared.libraries.summaries(),
-                shared.libraries.limits(),
-                api::technique_summaries(&shared.techniques),
-            );
-            (200, "application/json", doc.write().into_bytes())
-        }
-        (method, path) if path == "/v1/jobs" || path.starts_with("/v1/jobs/") => {
-            handle_jobs(shared, method, path, &req.body, trace)
-        }
-        (method, path) if path == "/v1/traces" || path.starts_with("/v1/traces/") => {
-            handle_traces(shared, method, path, query, trace)
-        }
-        ("GET", "/v1/logs") => handle_logs(shared, query, trace),
-        ("GET", "/v1/status") => handle_status(shared, trace),
-        (_, "/healthz" | "/metrics" | "/v1/designs" | "/v1/logs" | "/v1/status") => {
-            trace.allow = allow_for(path);
-            (
-                405,
-                "application/json",
-                api::error_body("use GET for this endpoint"),
-            )
-        }
-        (
-            _,
-            "/v1/sweep" | "/v1/table" | "/v1/headline" | "/v1/variation" | "/v1/activity"
-            | "/v1/compare" | "/v1/netlists" | "/v1/libraries",
-        ) => {
-            trace.allow = allow_for(path);
-            (
-                405,
-                "application/json",
-                api::error_body("use POST for this endpoint"),
-            )
-        }
-        _ => (404, "application/json", api::error_body("no such endpoint")),
-    }
-}
-
-fn handle_netlist_upload(shared: &Arc<Shared>, req: &Request, trace: &mut RequestTrace) -> Reply {
-    shared.metrics.inc_request("netlists");
-    trace.endpoint = Some("netlists");
-    let source = match std::str::from_utf8(&req.body) {
-        Ok(s) => s,
-        Err(_) => {
-            return (
-                400,
-                "application/json",
-                api::error_body("netlist source must be UTF-8 Verilog text"),
-            )
-        }
+    let (path, query) = req.path.split_once('?').unwrap_or((&req.path, ""));
+    let Some((route, id)) = routes::lookup(path) else {
+        return error_reply(404, "no such endpoint").into();
     };
-    let clock = req.header("x-scpg-clock").unwrap_or("clk");
+    shared.metrics.inc_request(route.endpoint);
+    trace.endpoint = Some(route.endpoint);
+    trace.record = route.record;
+    if !route.allows(&req.method) {
+        trace.allow = Some(route.allow);
+        return error_reply(405, route.wrong_method).into();
+    }
+    match route.lane {
+        Lane::Inline(handler) => {
+            let call = Call {
+                req,
+                id,
+                query,
+                trace_id: &trace.trace_id,
+            };
+            handler(shared, &call).into()
+        }
+        Lane::Queued(parse) | Lane::Batchable(parse) => {
+            handle_api(shared, route.endpoint, parse, &req.body, trace)
+        }
+    }
+}
+
+fn handle_healthz(_: &Arc<Shared>, _: &Call<'_>) -> Reply {
+    (200, "application/json", br#"{"status":"ok"}"#.to_vec())
+}
+
+fn handle_metrics(shared: &Arc<Shared>, _: &Call<'_>) -> Reply {
+    let mut text = shared.metrics.render(
+        shared.queue.depth(),
+        shared.queue.capacity(),
+        shared.in_flight_conns.load(Ordering::SeqCst),
+        shared.cache.len(),
+        shared.config.workers.max(2),
+        shared.queue.batch_depth(),
+    );
+    // Trace-store occupancy, owned by this module (the store lives here,
+    // not in `metrics`).
+    text.push_str(&format!(
+        "# HELP scpg_trace_store_entries Traces currently held by the trace store.\n\
+         # TYPE scpg_trace_store_entries gauge\n\
+         scpg_trace_store_entries {}\n",
+        shared.traces.len()
+    ));
+    text.push_str(&format!(
+        "# HELP scpg_trace_store_evicted_total Traces evicted to stay within capacity.\n\
+         # TYPE scpg_trace_store_evicted_total counter\n\
+         scpg_trace_store_evicted_total {}\n",
+        shared.traces.evicted()
+    ));
+    // Build identity + uptime, then the uniform per-store gauge families
+    // (one `store=` label per bounded structure).
+    text.push_str(&metrics::render_build_info(
+        shared.started.elapsed().as_secs_f64(),
+    ));
+    text.push_str(&metrics::render_stores(&shared.store_stats()));
+    // This server's latency histograms, then the process-wide
+    // engine-stage histograms (distinct family names, so the
+    // concatenation stays valid exposition text).
+    text.push_str(&shared.trace.render());
+    text.push_str(&scpg_trace::global().render());
+    (200, "text/plain; version=0.0.4", text.into_bytes())
+}
+
+fn handle_designs(shared: &Arc<Shared>, _: &Call<'_>) -> Reply {
+    let doc = api::designs_response(
+        &shared.config.limits,
+        shared.netlists.summaries(),
+        shared.libraries.summaries(),
+        shared.libraries.limits(),
+        api::technique_summaries(&shared.techniques),
+    );
+    json_reply(200, &doc)
+}
+
+/// The reply to an accepted upload: `201` with its summary when the
+/// source is new (counted in `uploads`), `200` when it was already
+/// stored.
+fn upload_reply(created: bool, uploads: &AtomicU64, summary: &Json) -> Reply {
+    if created {
+        uploads.fetch_add(1, Ordering::Relaxed);
+    }
+    json_reply(if created { 201 } else { 200 }, summary)
+}
+
+fn handle_netlist_upload(shared: &Arc<Shared>, call: &Call<'_>) -> Reply {
+    let source = match std::str::from_utf8(&call.req.body) {
+        Ok(s) => s,
+        Err(_) => return error_reply(400, "netlist source must be UTF-8 Verilog text"),
+    };
+    let clock = call.req.header("x-scpg-clock").unwrap_or("clk");
     match shared.netlists.upload(source, clock) {
         Ok((entry, created)) => {
-            if created {
-                shared
-                    .metrics
-                    .netlists_uploaded
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            let status = if created { 201 } else { 200 };
-            (
-                status,
-                "application/json",
-                entry.summary().write().into_bytes(),
-            )
+            upload_reply(created, &shared.metrics.netlists_uploaded, &entry.summary())
         }
         Err(err) => {
             let status = match &err {
@@ -999,34 +981,17 @@ fn handle_netlist_upload(shared: &Arc<Shared>, req: &Request, trace: &mut Reques
     }
 }
 
-fn handle_library_upload(shared: &Arc<Shared>, req: &Request, trace: &mut RequestTrace) -> Reply {
-    shared.metrics.inc_request("libraries");
-    trace.endpoint = Some("libraries");
-    let source = match std::str::from_utf8(&req.body) {
+fn handle_library_upload(shared: &Arc<Shared>, call: &Call<'_>) -> Reply {
+    let source = match std::str::from_utf8(&call.req.body) {
         Ok(s) => s,
-        Err(_) => {
-            return (
-                400,
-                "application/json",
-                api::error_body("library source must be UTF-8 Liberty text"),
-            )
-        }
+        Err(_) => return error_reply(400, "library source must be UTF-8 Liberty text"),
     };
     match shared.libraries.upload(source) {
-        Ok((entry, created)) => {
-            if created {
-                shared
-                    .metrics
-                    .libraries_uploaded
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            let status = if created { 201 } else { 200 };
-            (
-                status,
-                "application/json",
-                entry.summary().write().into_bytes(),
-            )
-        }
+        Ok((entry, created)) => upload_reply(
+            created,
+            &shared.metrics.libraries_uploaded,
+            &entry.summary(),
+        ),
         Err(err) => {
             let status = match &err {
                 LibraryUploadError::TooLarge { .. } => 413,
@@ -1039,190 +1004,126 @@ fn handle_library_upload(shared: &Arc<Shared>, req: &Request, trace: &mut Reques
     }
 }
 
-fn handle_jobs(
-    shared: &Arc<Shared>,
-    method: &str,
-    path: &str,
-    raw_body: &[u8],
-    trace: &mut RequestTrace,
-) -> Reply {
-    shared.metrics.inc_request("jobs");
-    trace.endpoint = Some("jobs");
-    match (method, path) {
-        ("POST", "/v1/jobs") => handle_job_submit(shared, raw_body, &trace.trace_id),
-        ("GET", "/v1/jobs") => {
-            let doc = Json::object([("jobs", Json::Arr(shared.jobs.summaries()))]);
-            (200, "application/json", doc.write().into_bytes())
+fn no_such_job() -> Reply {
+    error_reply(404, "no such job")
+}
+
+/// `POST /v1/jobs` submits a job, `GET /v1/jobs` lists them.
+fn handle_jobs(shared: &Arc<Shared>, call: &Call<'_>) -> Reply {
+    if call.req.method == "POST" {
+        return handle_job_submit(shared, &call.req.body, call.trace_id);
+    }
+    let doc = Json::object([("jobs", Json::Arr(shared.jobs.summaries()))]);
+    json_reply(200, &doc)
+}
+
+/// `GET /v1/jobs/{id}` reports a job, `DELETE /v1/jobs/{id}` cancels it.
+fn handle_job(shared: &Arc<Shared>, call: &Call<'_>) -> Reply {
+    let id = call.id;
+    if call.req.method == "GET" {
+        return match shared.jobs.status(id) {
+            Some(doc) => json_reply(200, &doc),
+            None => no_such_job(),
+        };
+    }
+    match shared.jobs.cancel(id) {
+        CancelOutcome::Cancelled => json_reply(
+            200,
+            &Json::object([("id", Json::from(id)), ("state", Json::from("cancelled"))]),
+        ),
+        CancelOutcome::AlreadyTerminal(state) => {
+            error_reply(409, &format!("job already {}", state.key()))
         }
-        (_, "/v1/jobs") => {
-            trace.allow = allow_for("/v1/jobs");
-            (
-                405,
-                "application/json",
-                api::error_body("use POST (submit) or GET (list) on /v1/jobs"),
-            )
-        }
-        _ => {
-            let rest = &path["/v1/jobs/".len()..];
-            let (id, tail) = match rest.split_once('/') {
-                None => (rest, None),
-                Some((id, tail)) => (id, Some(tail)),
-            };
-            match (method, tail) {
-                ("GET", None) => match shared.jobs.status(id) {
-                    Some(doc) => (200, "application/json", doc.write().into_bytes()),
-                    None => (404, "application/json", api::error_body("no such job")),
-                },
-                ("GET", Some("result")) => match shared.jobs.result(id) {
-                    None => (404, "application/json", api::error_body("no such job")),
-                    Some((_, Some(body))) => (200, "application/json", body.as_ref().clone()),
-                    Some((state, None)) => (
-                        409,
-                        "application/json",
-                        api::error_body(&format!("job is {}; no result to fetch", state.key())),
-                    ),
-                },
-                ("DELETE", None) => match shared.jobs.cancel(id) {
-                    CancelOutcome::Cancelled => (
-                        200,
-                        "application/json",
-                        Json::object([("id", Json::from(id)), ("state", Json::from("cancelled"))])
-                            .write()
-                            .into_bytes(),
-                    ),
-                    CancelOutcome::AlreadyTerminal(state) => (
-                        409,
-                        "application/json",
-                        api::error_body(&format!("job already {}", state.key())),
-                    ),
-                    CancelOutcome::Gone => {
-                        (404, "application/json", api::error_body("no such job"))
-                    }
-                },
-                _ => {
-                    trace.allow = allow_for(path);
-                    (
-                        405,
-                        "application/json",
-                        api::error_body("use GET /v1/jobs/{id}[/result] or DELETE /v1/jobs/{id}"),
-                    )
-                }
-            }
+        CancelOutcome::Gone => no_such_job(),
+    }
+}
+
+/// `GET /v1/jobs/{id}/result`: a finished job's assembled body.
+fn handle_job_result(shared: &Arc<Shared>, call: &Call<'_>) -> Reply {
+    match shared.jobs.result(call.id) {
+        None => no_such_job(),
+        Some((_, Some(body))) => (200, "application/json", body.as_ref().clone()),
+        Some((state, None)) => {
+            error_reply(409, &format!("job is {}; no result to fetch", state.key()))
         }
     }
 }
 
-/// `GET /v1/traces` (recent-first summaries, paginated by `limit=` and
-/// `before=<seq>`) and `GET /v1/traces/{id}` (the full span list in
-/// canonical JSON).
-fn handle_traces(
-    shared: &Arc<Shared>,
-    method: &str,
-    path: &str,
-    query: &str,
-    trace: &mut RequestTrace,
-) -> Reply {
-    shared.metrics.inc_request("traces");
-    trace.endpoint = Some("traces");
-    if method != "GET" {
-        trace.allow = allow_for(path);
-        return (
-            405,
-            "application/json",
-            api::error_body("use GET on /v1/traces[/{id}]"),
-        );
+/// `GET /v1/traces`: recent-first summaries, paginated by `limit=` and
+/// `before=<seq>`.
+fn handle_traces(shared: &Arc<Shared>, call: &Call<'_>) -> Reply {
+    let limit = match query_number(call.query, "limit", "must be a non-negative integer") {
+        Ok(limit) => limit,
+        Err(reply) => return reply,
+    };
+    let before = match query_number(call.query, "before", "must be a trace sequence number") {
+        Ok(before) => before,
+        Err(reply) => return reply,
+    };
+    let mut summaries = shared.traces.summaries();
+    if let Some(before) = before {
+        summaries.retain(|s| s.seq < before);
     }
-    if path == "/v1/traces" {
-        let limit = match query_param(query, "limit").map(str::parse::<usize>) {
-            None => None,
-            Some(Ok(n)) => Some(n),
-            Some(Err(_)) => {
-                return (
-                    422,
-                    "application/json",
-                    api::error_body("limit must be a non-negative integer"),
-                )
-            }
-        };
-        let before = match query_param(query, "before").map(str::parse::<u64>) {
-            None => None,
-            Some(Ok(n)) => Some(n),
-            Some(Err(_)) => {
-                return (
-                    422,
-                    "application/json",
-                    api::error_body("before must be a trace sequence number"),
-                )
-            }
-        };
-        let mut summaries = shared.traces.summaries();
-        if let Some(before) = before {
-            summaries.retain(|s| s.seq < before);
-        }
-        if let Some(limit) = limit {
-            summaries.truncate(limit);
-        }
-        // `seq` is the pagination cursor: pass the last row's value as
-        // `before=` to fetch the next page.
-        let traces: Vec<Json> = summaries
-            .into_iter()
-            .map(|s| {
-                Json::object([
-                    ("id", Json::from(s.id)),
-                    ("seq", Json::from(s.seq)),
-                    ("kind", Json::from(s.kind)),
-                    ("started_unix_ms", Json::from(s.started_unix_ms)),
-                    ("spans", Json::from(s.spans)),
-                    ("total_us", Json::from(s.total_us)),
-                ])
-            })
-            .collect();
-        let doc = Json::object([
-            ("boot", Json::from(shared.boot_id.as_str())),
-            ("capacity", Json::from(shared.traces.capacity())),
-            ("evicted", Json::from(shared.traces.evicted())),
-            ("traces", Json::Arr(traces)),
-        ]);
-        return (200, "application/json", doc.write().into_bytes());
+    if let Some(limit) = limit {
+        summaries.truncate(limit);
     }
-    let id = &path["/v1/traces/".len()..];
-    match shared.traces.detail(id) {
-        None => (
-            404,
-            "application/json",
-            api::error_body("no such trace (it may have been evicted)"),
-        ),
-        Some(d) => {
-            let spans: Vec<Json> = d
-                .spans
-                .iter()
-                .map(|s| {
-                    Json::object([
-                        ("stage", Json::from(s.stage.as_str())),
-                        ("start_us", Json::from(s.start_us)),
-                        ("duration_us", Json::from(s.duration_us)),
-                        (
-                            "annotations",
-                            Json::Obj(
-                                s.annotations
-                                    .iter()
-                                    .map(|(k, v)| (k.clone(), Json::from(v.as_str())))
-                                    .collect(),
-                            ),
-                        ),
-                    ])
-                })
-                .collect();
-            let doc = Json::object([
-                ("id", Json::from(d.id)),
-                ("kind", Json::from(d.kind)),
-                ("started_unix_ms", Json::from(d.started_unix_ms)),
-                ("dropped_spans", Json::from(d.dropped_spans)),
-                ("spans", Json::Arr(spans)),
-            ]);
-            (200, "application/json", doc.write().into_bytes())
-        }
-    }
+    // `seq` is the pagination cursor: pass the last row's value as
+    // `before=` to fetch the next page.
+    let traces: Vec<Json> = summaries
+        .into_iter()
+        .map(|s| {
+            Json::object([
+                ("id", Json::from(s.id)),
+                ("seq", Json::from(s.seq)),
+                ("kind", Json::from(s.kind)),
+                ("started_unix_ms", Json::from(s.started_unix_ms)),
+                ("spans", Json::from(s.spans)),
+                ("total_us", Json::from(s.total_us)),
+            ])
+        })
+        .collect();
+    let doc = Json::object([
+        ("boot", Json::from(shared.boot_id.as_str())),
+        ("capacity", Json::from(shared.traces.capacity())),
+        ("evicted", Json::from(shared.traces.evicted())),
+        ("traces", Json::Arr(traces)),
+    ]);
+    json_reply(200, &doc)
+}
+
+/// `GET /v1/traces/{id}`: the full span list in canonical JSON.
+fn handle_trace(shared: &Arc<Shared>, call: &Call<'_>) -> Reply {
+    let Some(d) = shared.traces.detail(call.id) else {
+        return error_reply(404, "no such trace (it may have been evicted)");
+    };
+    let spans: Vec<Json> = d
+        .spans
+        .iter()
+        .map(|s| {
+            Json::object([
+                ("stage", Json::from(s.stage.as_str())),
+                ("start_us", Json::from(s.start_us)),
+                ("duration_us", Json::from(s.duration_us)),
+                (
+                    "annotations",
+                    Json::Obj(
+                        s.annotations
+                            .iter()
+                            .map(|(k, v)| (k.clone(), Json::from(v.as_str())))
+                            .collect(),
+                    ),
+                ),
+            ])
+        })
+        .collect();
+    let doc = Json::object([
+        ("id", Json::from(d.id)),
+        ("kind", Json::from(d.kind)),
+        ("started_unix_ms", Json::from(d.started_unix_ms)),
+        ("dropped_spans", Json::from(d.dropped_spans)),
+        ("spans", Json::Arr(spans)),
+    ]);
+    json_reply(200, &doc)
 }
 
 /// One wide event in wire form (used by `GET /v1/logs`).
@@ -1256,42 +1157,26 @@ fn event_json(e: scpg_trace::WideEvent) -> Json {
 /// `limit=`. The ring holds more; an explicit `limit=` raises it.
 const DEFAULT_LOG_LIMIT: usize = 100;
 
+/// The `GET /v1/logs` filter a query string names.
+fn log_filter(query: &str) -> Result<scpg_trace::EventFilter, Reply> {
+    const COUNT: &str = "must be a non-negative integer";
+    Ok(scpg_trace::EventFilter {
+        endpoint: query_param(query, "endpoint").map(str::to_string),
+        status: query_number(query, "status", COUNT)?,
+        min_duration_us: query_number(query, "min_duration_us", COUNT)?,
+        since_unix_ms: query_number(query, "since", COUNT)?,
+        limit: Some(query_number(query, "limit", COUNT)?.unwrap_or(DEFAULT_LOG_LIMIT)),
+    })
+}
+
 /// `GET /v1/logs`: recent-first wide events, filterable by
 /// `endpoint=`, `status=`, `min_duration_us=`, `since=` (Unix ms) and
 /// `limit=`.
-fn handle_logs(shared: &Arc<Shared>, query: &str, trace: &mut RequestTrace) -> Reply {
-    shared.metrics.inc_request("logs");
-    trace.endpoint = Some("logs");
-    let mut filter = scpg_trace::EventFilter {
-        endpoint: query_param(query, "endpoint").map(str::to_string),
-        ..Default::default()
+fn handle_logs(shared: &Arc<Shared>, call: &Call<'_>) -> Reply {
+    let filter = match log_filter(call.query) {
+        Ok(filter) => filter,
+        Err(reply) => return reply,
     };
-    // Numeric filters 422 on garbage rather than silently matching
-    // everything — a typo in a triage query must not look like "no
-    // slow requests".
-    macro_rules! numeric {
-        ($key:literal, $ty:ty, $slot:expr) => {
-            if let Some(raw) = query_param(query, $key) {
-                match raw.parse::<$ty>() {
-                    Ok(v) => $slot = Some(v),
-                    Err(_) => {
-                        return (
-                            422,
-                            "application/json",
-                            api::error_body(concat!($key, " must be a non-negative integer")),
-                        )
-                    }
-                }
-            }
-        };
-    }
-    numeric!("status", u16, filter.status);
-    numeric!("min_duration_us", u64, filter.min_duration_us);
-    numeric!("since", u64, filter.since_unix_ms);
-    numeric!("limit", usize, filter.limit);
-    if filter.limit.is_none() {
-        filter.limit = Some(DEFAULT_LOG_LIMIT);
-    }
     let events: Vec<Json> = shared
         .events
         .query(&filter)
@@ -1304,15 +1189,13 @@ fn handle_logs(shared: &Arc<Shared>, query: &str, trace: &mut RequestTrace) -> R
         ("evicted", Json::from(shared.events.evicted())),
         ("events", Json::Arr(events)),
     ]);
-    (200, "application/json", doc.write().into_bytes())
+    json_reply(200, &doc)
 }
 
 /// `GET /v1/status`: one operational snapshot — build identity, uptime,
 /// queue depths, event-loop lag, and the uniform [`scpg_trace::Introspect`]
 /// row for every bounded structure.
-fn handle_status(shared: &Arc<Shared>, trace: &mut RequestTrace) -> Reply {
-    shared.metrics.inc_request("status");
-    trace.endpoint = Some("status");
+fn handle_status(shared: &Arc<Shared>, _: &Call<'_>) -> Reply {
     let stores: Vec<Json> = shared
         .store_stats()
         .into_iter()
@@ -1366,30 +1249,19 @@ fn handle_status(shared: &Arc<Shared>, trace: &mut RequestTrace) -> Reply {
         ),
         ("stores", Json::Arr(stores)),
     ]);
-    (200, "application/json", doc.write().into_bytes())
+    json_reply(200, &doc)
 }
 
 fn handle_job_submit(shared: &Arc<Shared>, raw_body: &[u8], trace_id: &str) -> Reply {
-    let text = match std::str::from_utf8(raw_body) {
-        Ok(t) => t,
-        Err(_) => {
-            return (
-                400,
-                "application/json",
-                api::error_body("body is not UTF-8"),
-            )
-        }
-    };
-    let body = match Json::parse(text) {
-        Ok(v) => v,
-        Err(e) => return (400, "application/json", api::error_body(&e.to_string())),
+    let body = match json_body(raw_body) {
+        Ok(body) => body,
+        Err(reply) => return reply,
     };
     let Some(kind) = body.get("kind").and_then(Json::as_str) else {
-        return (
-            422,
-            "application/json",
-            api::error_body("kind must be \"sweep\", \"table\", \"variation\" or \"compare\""),
-        );
+        let mut kinds: Vec<String> = routes::job_kinds().map(|k| format!("{k:?}")).collect();
+        let last = kinds.pop().unwrap_or_default();
+        let message = format!("kind must be {} or {last}", kinds.join(", "));
+        return error_reply(422, &message);
     };
     let request = body
         .get("request")
@@ -1399,13 +1271,7 @@ fn handle_job_submit(shared: &Arc<Shared>, raw_body: &[u8], trace_id: &str) -> R
         None => None,
         Some(v) => match v.as_u64() {
             Some(n) if n >= 1 => Some(n as usize),
-            _ => {
-                return (
-                    422,
-                    "application/json",
-                    api::error_body("chunk_units must be a positive integer"),
-                )
-            }
+            _ => return error_reply(422, "chunk_units must be a positive integer"),
         },
     };
     // The request's trace id becomes the job's: chunk spans executed
@@ -1424,28 +1290,17 @@ fn handle_job_submit(shared: &Arc<Shared>, raw_body: &[u8], trace_id: &str) -> R
                 // No batch slot (lane full or shutting down): never leave
                 // an accepted job stalled with no token to drive it.
                 shared.jobs.fail(&id, "no batch capacity to run this job");
-                return (
-                    429,
-                    "application/json",
-                    api::error_body("batch lane is full; retry with backoff"),
-                );
+                return error_reply(429, "batch lane is full; retry with backoff");
             }
-            (
-                202,
-                "application/json",
-                Json::object([
-                    ("id", Json::from(id)),
-                    ("total_units", Json::from(total_units)),
-                    ("trace_id", Json::from(trace_id)),
-                ])
-                .write()
-                .into_bytes(),
-            )
+            let doc = Json::object([
+                ("id", Json::from(id)),
+                ("total_units", Json::from(total_units)),
+                ("trace_id", Json::from(trace_id)),
+            ]);
+            json_reply(202, &doc)
         }
-        Err(SubmitError::Refused(e)) => (422, "application/json", api::error_body(&e)),
-        Err(err @ SubmitError::Busy { .. }) => {
-            (429, "application/json", api::error_body(&err.to_string()))
-        }
+        Err(SubmitError::Refused(e)) => error_reply(422, &e),
+        Err(err @ SubmitError::Busy { .. }) => error_reply(429, &err.to_string()),
     }
 }
 
@@ -1460,29 +1315,18 @@ fn cache_key(endpoint: &str, body: &Json) -> String {
     format!("{endpoint} {}", keyed.canonical())
 }
 
+/// Answers an analysis endpoint: a cache hit inline, otherwise the body
+/// parsed by the row's `parse` and queued for a worker.
 fn handle_api(
     shared: &Arc<Shared>,
     endpoint: &'static str,
+    parse: routes::Parser,
     raw_body: &[u8],
     trace: &mut RequestTrace,
 ) -> Outcome {
-    shared.metrics.inc_request(endpoint);
-    trace.endpoint = Some(endpoint);
-
-    let text = match std::str::from_utf8(raw_body) {
-        Ok(t) => t,
-        Err(_) => {
-            return (
-                400,
-                "application/json",
-                api::error_body("body is not UTF-8"),
-            )
-                .into()
-        }
-    };
-    let body = match Json::parse(text) {
-        Ok(v) => v,
-        Err(e) => return (400, "application/json", api::error_body(&e.to_string())).into(),
+    let body = match json_body(raw_body) {
+        Ok(body) => body,
+        Err(reply) => return reply.into(),
     };
 
     // Validate the deadline before the cache lookup: a present but
@@ -1494,14 +1338,11 @@ fn handle_api(
         Some(v) => match v.as_u64() {
             Some(ms) => ms,
             None => {
-                return (
+                return error_reply(
                     422,
-                    "application/json",
-                    api::error_body(
-                        "deadline_ms must be a non-negative integral number of milliseconds",
-                    ),
+                    "deadline_ms must be a non-negative integral number of milliseconds",
                 )
-                    .into()
+                .into()
             }
         },
     }
@@ -1525,80 +1366,29 @@ fn handle_api(
 
     // Admission-check and fully parse the request *before* it costs a
     // queue slot; refusals answer 422 without touching the engine.
-    let limits = shared.config.limits;
-    let work: Box<dyn FnOnce() -> JobOutput + Send> = {
-        let registry = Arc::clone(&shared.registry);
-        let netlists = Arc::clone(&shared.netlists);
-        let libraries = Arc::clone(&shared.libraries);
-        let delay = shared.config.debug_job_delay_ms;
-        match endpoint {
-            "sweep" | "table" | "headline" => {
-                let parsed = match endpoint {
-                    "sweep" => api::parse_sweep(&body, &limits),
-                    "table" => api::parse_table(&body, &limits),
-                    _ => api::parse_headline(&body, &limits),
-                };
-                let (spec, query) = match parsed {
-                    Ok(p) => p,
-                    Err(e) => return (422, "application/json", api::error_body(&e)).into(),
-                };
-                Box::new(move || run_query(&registry, &netlists, &libraries, spec, &query, delay))
-            }
-            "variation" => {
-                let (spec, cfg) = match api::parse_variation(&body, &limits) {
-                    Ok(p) => p,
-                    Err(e) => return (422, "application/json", api::error_body(&e)).into(),
-                };
-                Box::new(move || run_variation(&registry, &netlists, &libraries, spec, &cfg, delay))
-            }
-            "activity" => {
-                let (spec, req) = match api::parse_activity(&body, &limits) {
-                    Ok(p) => p,
-                    Err(e) => return (422, "application/json", api::error_body(&e)).into(),
-                };
-                let choice = shared.config.force_engine;
-                Box::new(move || {
-                    run_activity(&registry, &netlists, &libraries, spec, req, choice, delay)
-                })
-            }
-            "compare" => {
-                let parsed = api::parse_compare(&body, &limits, &shared.techniques);
-                let (spec, frequencies, techs) = match parsed {
-                    Ok(p) => p,
-                    Err(e) => return (422, "application/json", api::error_body(&e)).into(),
-                };
-                // The worker needs the technique registry, metrics and
-                // trace store, so it captures the whole shared state.
-                let shared = Arc::clone(shared);
-                let trace_id = trace.trace_id.clone();
-                Box::new(move || run_compare(&shared, spec, &frequencies, &techs, &trace_id, delay))
-            }
-            _ => unreachable!("handle_api is only routed for v1 endpoints"),
-        }
+    let request = match parse(&body, &shared.config.limits, &shared.techniques) {
+        Ok(request) => request,
+        Err(e) => return error_reply(422, &e).into(),
     };
-
     let deadline = Instant::now() + Duration::from_millis(requested_ms);
 
     let slot = Slot::new();
+    let worker_shared = Arc::clone(shared);
+    let trace_id = trace.trace_id.clone();
     let job = Job {
         enqueued_at: Instant::now(),
         deadline,
         slot: Arc::clone(&slot),
         cache_key: key,
-        trace_id: trace.trace_id.clone(),
-        work,
+        trace_id: trace_id.clone(),
+        work: Box::new(move || run_api(&worker_shared, request, &trace_id)),
     };
     if shared.queue.try_push(job).is_err() {
         shared
             .metrics
             .queue_rejections
             .fetch_add(1, Ordering::Relaxed);
-        return (
-            429,
-            "application/json",
-            api::error_body("work queue is full; retry with backoff"),
-        )
-            .into();
+        return error_reply(429, "work queue is full; retry with backoff").into();
     }
 
     // Admitted: the event loop parks the connection on this slot (its
@@ -1643,30 +1433,46 @@ fn work_annotations(
     ]
 }
 
-fn run_query(
-    registry: &DesignRegistry,
-    netlists: &NetlistRegistry,
-    libraries: &LibraryRegistry,
-    spec: designs::DesignSpec,
-    query: &Query,
-    delay_ms: u64,
-) -> JobOutput {
-    debug_delay(delay_ms);
+/// The worker side of an analysis request.
+fn run_api(shared: &Shared, request: ApiRequest, trace_id: &str) -> JobOutput {
+    debug_delay(shared.config.debug_job_delay_ms);
+    match request {
+        ApiRequest::Query { spec, query } => run_query(shared, spec, &query),
+        ApiRequest::Variation { spec, cfg } => run_variation(shared, spec, &cfg),
+        ApiRequest::Activity { spec, request } => run_activity(shared, spec, request),
+        ApiRequest::Compare {
+            spec,
+            frequencies,
+            techniques,
+        } => run_compare(shared, spec, &frequencies, &techniques, trace_id),
+    }
+}
+
+/// Runs the `compile` stage (fetching or building what the request
+/// needs from the design registry), timed into `timing`.
+fn compile<T>(
+    timing: &mut JobTiming,
+    build: impl FnOnce() -> Result<T, String>,
+) -> Result<T, String> {
+    let started = Instant::now();
+    let built = build();
+    timing.compile = Some(started.elapsed());
+    built
+}
+
+/// The `422` for a design the registry refused.
+fn uncompilable(error: &str, timing: JobTiming) -> JobOutput {
+    let mut out = JobOutput::new(422, api::error_body(error));
+    out.timing = timing;
+    out
+}
+
+fn run_query(shared: &Shared, spec: DesignSpec, query: &Query) -> JobOutput {
     let mut timing = JobTiming::default();
     let work_before = scpg::service::EngineWork::snapshot();
-
-    let compile_started = Instant::now();
-    let analysis = registry
-        .get(&spec, Some(netlists), Some(libraries))
-        .and_then(|artifact| artifact.analysis());
-    timing.compile = Some(compile_started.elapsed());
-    let analysis = match analysis {
+    let analysis = match compile(&mut timing, || shared.artifact(&spec)?.analysis()) {
         Ok(a) => a,
-        Err(e) => {
-            let mut out = JobOutput::new(422, api::error_body(&e));
-            out.timing = timing;
-            return out;
-        }
+        Err(e) => return uncompilable(&e, timing),
     };
 
     let execute_started = Instant::now();
@@ -1694,28 +1500,12 @@ fn run_query(
     out
 }
 
-fn run_variation(
-    registry: &DesignRegistry,
-    netlists: &NetlistRegistry,
-    libraries: &LibraryRegistry,
-    spec: designs::DesignSpec,
-    cfg: &scpg_power::VariationConfig,
-    delay_ms: u64,
-) -> JobOutput {
-    debug_delay(delay_ms);
+fn run_variation(shared: &Shared, spec: DesignSpec, cfg: &VariationConfig) -> JobOutput {
     let mut timing = JobTiming::default();
     let work_before = scpg::service::EngineWork::snapshot();
-
-    let compile_started = Instant::now();
-    let artifact = registry.get(&spec, Some(netlists), Some(libraries));
-    timing.compile = Some(compile_started.elapsed());
-    let artifact = match artifact {
+    let artifact = match compile(&mut timing, || shared.artifact(&spec)) {
         Ok(a) => a,
-        Err(e) => {
-            let mut out = JobOutput::new(422, api::error_body(&e));
-            out.timing = timing;
-            return out;
-        }
+        Err(e) => return uncompilable(&e, timing),
     };
 
     let execute_started = Instant::now();
@@ -1739,35 +1529,27 @@ fn run_variation(
     out
 }
 
-fn run_activity(
-    registry: &DesignRegistry,
-    netlists: &NetlistRegistry,
-    libraries: &LibraryRegistry,
-    spec: designs::DesignSpec,
-    req: api::ActivityRequest,
-    choice: scpg_sim::EngineChoice,
-    delay_ms: u64,
-) -> JobOutput {
-    debug_delay(delay_ms);
+fn run_activity(shared: &Shared, spec: DesignSpec, req: api::ActivityRequest) -> JobOutput {
     let mut timing = JobTiming::default();
     let work_before = scpg::service::EngineWork::snapshot();
-
-    let compile_started = Instant::now();
-    let compiled = registry
-        .get(&spec, Some(netlists), Some(libraries))
-        .and_then(|artifact| artifact.compiled().map(|c| (c, artifact.clock.clone())));
-    timing.compile = Some(compile_started.elapsed());
+    let compiled = compile(&mut timing, || {
+        let artifact = shared.artifact(&spec)?;
+        Ok((artifact.compiled()?, artifact.clock.clone()))
+    });
     let (compiled, clock) = match compiled {
         Ok(c) => c,
-        Err(e) => {
-            let mut out = JobOutput::new(422, api::error_body(&e));
-            out.timing = timing;
-            return out;
-        }
+        Err(e) => return uncompilable(&e, timing),
     };
 
     let execute_started = Instant::now();
-    let report = scpg::extract_activity(&compiled, &clock, req.cycles, req.lanes, req.seed, choice);
+    let report = scpg::extract_activity(
+        &compiled,
+        &clock,
+        req.cycles,
+        req.lanes,
+        req.seed,
+        shared.config.force_engine,
+    );
     timing.execute = Some(execute_started.elapsed());
 
     let mut out = match report {
@@ -1799,29 +1581,17 @@ fn run_activity(
 /// the batch-job path uses. Each technique files a span under the
 /// request's trace id.
 fn run_compare(
-    shared: &Arc<Shared>,
-    spec: designs::DesignSpec,
+    shared: &Shared,
+    spec: DesignSpec,
     frequencies: &[Frequency],
     techniques: &[api::CompareTechnique],
     trace_id: &str,
-    delay_ms: u64,
 ) -> JobOutput {
-    debug_delay(delay_ms);
     let mut timing = JobTiming::default();
     let work_before = scpg::service::EngineWork::snapshot();
-
-    let compile_started = Instant::now();
-    let artifact = shared
-        .registry
-        .get(&spec, Some(&shared.netlists), Some(&shared.libraries));
-    timing.compile = Some(compile_started.elapsed());
-    let artifact = match artifact {
+    let artifact = match compile(&mut timing, || shared.artifact(&spec)) {
         Ok(a) => a,
-        Err(e) => {
-            let mut out = JobOutput::new(422, api::error_body(&e));
-            out.timing = timing;
-            return out;
-        }
+        Err(e) => return uncompilable(&e, timing),
     };
 
     let execute_started = Instant::now();
@@ -1896,33 +1666,10 @@ fn run_compare(
     out
 }
 
-/// A batch job's request, parsed back into the serving layer's own
-/// domain types. Batch jobs reuse the interactive path's parsers and
-/// response builders end to end, which is what makes an assembled job
+/// [`ChunkExecutor`] over the serving layer. A job's request is parsed
+/// by its kind's route-table parser and rendered by the interactive
+/// endpoint's response builders, which is what makes an assembled job
 /// result byte-identical to the interactive response for the same body.
-enum PlannedJob {
-    Sweep {
-        spec: DesignSpec,
-        frequencies: Vec<Frequency>,
-        mode: Mode,
-    },
-    Table {
-        spec: DesignSpec,
-        frequencies: Vec<Frequency>,
-    },
-    Variation {
-        spec: DesignSpec,
-        cfg: VariationConfig,
-    },
-    Compare {
-        spec: DesignSpec,
-        frequencies: Vec<Frequency>,
-        techs: Vec<api::CompareTechnique>,
-    },
-}
-
-/// [`ChunkExecutor`] over the serving layer: one work unit is one
-/// frequency (sweeps/tables) or one whole study (variation).
 struct ServeExecutor {
     registry: Arc<DesignRegistry>,
     techniques: Arc<TechniqueRegistry>,
@@ -1933,107 +1680,87 @@ struct ServeExecutor {
 }
 
 impl ServeExecutor {
-    fn parse(&self, spec: &JobSpec) -> Result<PlannedJob, String> {
-        match spec.kind.as_str() {
-            "sweep" => {
-                let (dspec, query) = api::parse_sweep(&spec.request, &self.limits)?;
-                match query {
-                    Query::Sweep { frequencies, mode } => Ok(PlannedJob::Sweep {
-                        spec: dspec,
-                        frequencies,
-                        mode,
-                    }),
-                    _ => unreachable!("parse_sweep yields sweeps"),
-                }
-            }
-            "table" => {
-                let (dspec, query) = api::parse_table(&spec.request, &self.limits)?;
-                match query {
-                    Query::Table { frequencies } => Ok(PlannedJob::Table {
-                        spec: dspec,
-                        frequencies,
-                    }),
-                    _ => unreachable!("parse_table yields tables"),
-                }
-            }
-            "variation" => {
-                let (dspec, cfg) = api::parse_variation(&spec.request, &self.limits)?;
-                Ok(PlannedJob::Variation { spec: dspec, cfg })
-            }
-            "compare" => {
-                let (dspec, frequencies, techs) =
-                    api::parse_compare(&spec.request, &self.limits, &self.techniques)?;
-                Ok(PlannedJob::Compare {
-                    spec: dspec,
-                    frequencies,
-                    techs,
-                })
-            }
-            other => Err(format!(
-                "unknown job kind {other:?} (sweep | table | variation | compare)"
-            )),
-        }
+    fn parse(&self, spec: &JobSpec) -> Result<ApiRequest, String> {
+        routes::job_parser(&spec.kind)?(&spec.request, &self.limits, &self.techniques)
+    }
+
+    fn artifact(&self, spec: &DesignSpec) -> Result<Arc<DesignArtifact>, String> {
+        self.registry
+            .get(spec, Some(&self.netlists), Some(&self.libraries))
+    }
+
+    /// The prepared model for one compare row (hot in the artifact's
+    /// technique LRU after the first chunk).
+    fn technique_model(
+        &self,
+        artifact: &DesignArtifact,
+        t: &api::CompareTechnique,
+    ) -> Result<Arc<dyn scpg_technique::TechniqueModel>, String> {
+        let tech = self
+            .techniques
+            .get(&t.name)
+            .ok_or_else(|| format!("unknown technique {:?}", t.name))?;
+        artifact
+            .technique_model(tech, &t.params)
+            .map_err(|e| e.to_string())
     }
 }
 
+/// The refusal for a request kind whose route is not batchable
+/// ([`routes::job_parser`] refuses those before a job exists).
+fn not_batchable(spec: &JobSpec) -> String {
+    format!("{:?} is not a batch job kind", spec.kind)
+}
+
 impl ChunkExecutor for ServeExecutor {
+    /// One work unit is one frequency (sweeps, tables), one (technique,
+    /// frequency) cell (compares) or one whole study (variation).
     fn plan(&self, spec: &JobSpec) -> Result<usize, String> {
-        let planned = self.parse(spec)?;
-        let (dspec, units) = match &planned {
-            PlannedJob::Sweep {
-                spec, frequencies, ..
-            } => (spec, frequencies.len()),
-            PlannedJob::Table { spec, frequencies } => (spec, frequencies.len()),
-            PlannedJob::Variation { spec, .. } => (spec, 1),
-            PlannedJob::Compare {
-                spec,
-                frequencies,
-                techs,
-            } => (spec, frequencies.len() * techs.len()),
-        };
+        let request = self.parse(spec)?;
         // Resolve the design now so an unknown netlist id refuses the
         // submission outright instead of failing the job's first chunk.
-        self.registry
-            .get(dspec, Some(&self.netlists), Some(&self.libraries))?;
-        Ok(units)
+        self.artifact(request.design())?;
+        Ok(match &request {
+            ApiRequest::Query {
+                query: Query::Sweep { frequencies, .. } | Query::Table { frequencies },
+                ..
+            } => frequencies.len(),
+            ApiRequest::Compare {
+                frequencies,
+                techniques,
+                ..
+            } => frequencies.len() * techniques.len(),
+            _ => 1,
+        })
     }
 
     fn execute(&self, spec: &JobSpec, start: usize, count: usize) -> Result<Vec<Json>, String> {
         debug_delay(self.debug_job_delay_ms);
-        match self.parse(spec)? {
-            PlannedJob::Sweep {
-                spec: dspec,
-                frequencies,
-                mode,
-            } => {
-                let artifact =
-                    self.registry
-                        .get(&dspec, Some(&self.netlists), Some(&self.libraries))?;
-                let analysis = artifact.analysis()?;
-                // Operating points are per-frequency independent, so a
-                // sub-slice sweep equals the same slice of a full sweep.
-                let slice = &frequencies[start..start + count];
-                Ok(analysis
-                    .sweep(slice, mode)
-                    .iter()
-                    .map(api::point_json)
-                    .collect())
-            }
-            PlannedJob::Table {
-                spec: dspec,
-                frequencies,
-            } => {
-                let artifact =
-                    self.registry
-                        .get(&dspec, Some(&self.netlists), Some(&self.libraries))?;
-                let analysis = artifact.analysis()?;
-                let slice = &frequencies[start..start + count];
-                Ok(analysis.table(slice).iter().map(api::row_json).collect())
-            }
-            PlannedJob::Variation { spec: dspec, cfg } => {
-                let artifact =
-                    self.registry
-                        .get(&dspec, Some(&self.netlists), Some(&self.libraries))?;
+        let request = self.parse(spec)?;
+        let artifact = self.artifact(request.design())?;
+        let units = start..start + count;
+        match request {
+            // Operating points are per-frequency independent, so a
+            // sub-slice sweep equals the same slice of a full sweep.
+            ApiRequest::Query {
+                query: Query::Sweep { frequencies, mode },
+                ..
+            } => Ok(artifact
+                .analysis()?
+                .sweep(&frequencies[units], mode)
+                .iter()
+                .map(api::point_json)
+                .collect()),
+            ApiRequest::Query {
+                query: Query::Table { frequencies },
+                ..
+            } => Ok(artifact
+                .analysis()?
+                .table(&frequencies[units])
+                .iter()
+                .map(api::row_json)
+                .collect()),
+            ApiRequest::Variation { spec, cfg } => {
                 let study = VariationStudy::run(
                     &artifact.baseline,
                     &artifact.lib,
@@ -2041,99 +1768,81 @@ impl ChunkExecutor for ServeExecutor {
                     &cfg,
                 )
                 .map_err(|e| format!("variation study failed: {e}"))?;
-                Ok(vec![api::variation_response(&dspec, &study)])
+                Ok(vec![api::variation_response(&spec, &study)])
             }
-            PlannedJob::Compare {
-                spec: dspec,
+            // Units are technique-major: unit u is technique u/nf at
+            // frequency u%nf, so one chunk slices cleanly out of the
+            // full (technique × frequency) grid.
+            ApiRequest::Compare {
                 frequencies,
-                techs,
+                techniques,
+                ..
             } => {
-                let artifact =
-                    self.registry
-                        .get(&dspec, Some(&self.netlists), Some(&self.libraries))?;
-                // Units are technique-major: unit u is technique u/nf at
-                // frequency u%nf, so one chunk slices cleanly out of the
-                // full (technique × frequency) grid.
                 let nf = frequencies.len();
-                let mut frags = Vec::with_capacity(count);
-                for unit in start..start + count {
-                    let t = &techs[unit / nf];
-                    let tech = self
-                        .techniques
-                        .get(&t.name)
-                        .ok_or_else(|| format!("unknown technique {:?}", t.name))?;
-                    let model = artifact
-                        .technique_model(tech, &t.params)
-                        .map_err(|e| e.to_string())?;
-                    frags.push(api::technique_point_json(
-                        &model.evaluate(frequencies[unit % nf]),
-                    ));
-                }
-                Ok(frags)
+                units
+                    .map(|unit| {
+                        let model = self.technique_model(&artifact, &techniques[unit / nf])?;
+                        Ok(api::technique_point_json(
+                            &model.evaluate(frequencies[unit % nf]),
+                        ))
+                    })
+                    .collect()
             }
+            ApiRequest::Query { .. } | ApiRequest::Activity { .. } => Err(not_batchable(spec)),
         }
     }
 
     fn assemble(&self, spec: &JobSpec, fragments: &[Json]) -> Result<Vec<u8>, String> {
-        match self.parse(spec)? {
-            PlannedJob::Sweep {
-                spec: dspec, mode, ..
-            } => Ok(
-                api::sweep_response_with_points(&dspec, mode, fragments.to_vec())
-                    .write()
-                    .into_bytes(),
-            ),
-            PlannedJob::Table { spec: dspec, .. } => {
-                Ok(api::table_response_with_rows(&dspec, fragments.to_vec())
-                    .write()
-                    .into_bytes())
-            }
-            PlannedJob::Variation { .. } => {
-                let doc = fragments
-                    .first()
-                    .ok_or("variation job produced no fragment")?;
-                Ok(doc.write().into_bytes())
-            }
-            PlannedJob::Compare {
-                spec: dspec,
+        let doc = match self.parse(spec)? {
+            ApiRequest::Query {
+                spec,
+                query: Query::Sweep { mode, .. },
+            } => api::sweep_response_with_points(&spec, mode, fragments.to_vec()),
+            ApiRequest::Query {
+                spec,
+                query: Query::Table { .. },
+            } => api::table_response_with_rows(&spec, fragments.to_vec()),
+            ApiRequest::Variation { .. } => fragments
+                .first()
+                .ok_or("variation job produced no fragment")?
+                .clone(),
+            ApiRequest::Compare {
+                spec,
                 frequencies,
-                techs,
+                techniques,
             } => {
                 let nf = frequencies.len();
-                if fragments.len() != nf * techs.len() {
+                if fragments.len() != nf * techniques.len() {
                     return Err(format!(
                         "compare job assembled {} fragments, expected {}",
                         fragments.len(),
-                        nf * techs.len()
+                        nf * techniques.len()
                     ));
                 }
                 // Area/delay rollups come from the prepared models — hot
                 // in the artifact's technique LRU after the chunks ran.
-                let artifact =
-                    self.registry
-                        .get(&dspec, Some(&self.netlists), Some(&self.libraries))?;
-                let mut rows = Vec::with_capacity(techs.len());
-                for (i, t) in techs.iter().enumerate() {
-                    let tech = self
-                        .techniques
-                        .get(&t.name)
-                        .ok_or_else(|| format!("unknown technique {:?}", t.name))?;
-                    let model = artifact
-                        .technique_model(tech, &t.params)
-                        .map_err(|e| e.to_string())?;
-                    rows.push(api::compare_row_with_points(
-                        &t.name,
-                        &t.params,
-                        &model.area(),
-                        &model.delay(),
-                        fragments[i * nf..(i + 1) * nf].to_vec(),
-                    ));
-                }
-                Ok(api::compare_response_with_rows(&dspec, rows)
-                    .write()
-                    .into_bytes())
+                let artifact = self.artifact(&spec)?;
+                let rows = techniques
+                    .iter()
+                    .zip(fragments.chunks(nf))
+                    .map(|(t, points)| {
+                        let model = self.technique_model(&artifact, t)?;
+                        Ok(api::compare_row_with_points(
+                            &t.name,
+                            &t.params,
+                            &model.area(),
+                            &model.delay(),
+                            points.to_vec(),
+                        ))
+                    })
+                    .collect::<Result<Vec<_>, String>>()?;
+                api::compare_response_with_rows(&spec, rows)
             }
-        }
+            ApiRequest::Query { .. } | ApiRequest::Activity { .. } => {
+                return Err(not_batchable(spec))
+            }
+        };
+        Ok(doc.write().into_bytes())
     }
 }
 

@@ -8,6 +8,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use crate::routes::{REFUSED, ROUTES};
+
 /// End-to-end request latency histogram family (per endpoint): from
 /// head parsed to response about to be written.
 pub const REQUEST_HISTOGRAM: &str = "scpg_request_duration_seconds";
@@ -36,28 +38,51 @@ pub fn stage_histogram(reg: &scpg_trace::Registry, stage: &str) -> Arc<scpg_trac
     )
 }
 
-/// The endpoints with dedicated request counters. `"(refused)"` counts
-/// requests the event loop answered without routing (malformed heads,
-/// idle-timeout 408s, drain-time 503s) — what clients saw but no
-/// handler did.
-pub const ENDPOINTS: [&str; 16] = [
-    "sweep",
-    "table",
-    "headline",
-    "variation",
-    "activity",
-    "compare",
-    "netlists",
-    "libraries",
-    "jobs",
-    "traces",
-    "logs",
-    "status",
-    "designs",
-    "healthz",
-    "metrics",
-    "(refused)",
-];
+/// The endpoints with dedicated request counters: each distinct
+/// endpoint name of the route table, in row order, then `"(refused)"`.
+pub const ENDPOINTS: [&str; ENDPOINT_COUNT] = {
+    let mut names = [REFUSED; ENDPOINT_COUNT];
+    let (mut n, mut i) = (0, 0);
+    while i < ROUTES.len() {
+        if first_of_its_name(i) {
+            names[n] = ROUTES[i].endpoint;
+            n += 1;
+        }
+        i += 1;
+    }
+    names
+};
+
+/// How many names [`ENDPOINTS`] holds.
+const ENDPOINT_COUNT: usize = {
+    let (mut count, mut i) = (1, 0);
+    while i < ROUTES.len() {
+        if first_of_its_name(i) {
+            count += 1;
+        }
+        i += 1;
+    }
+    count
+};
+
+/// Whether route row `i` is the first to carry its endpoint name.
+const fn first_of_its_name(i: usize) -> bool {
+    let mut j = 0;
+    while j < i {
+        let (a, b) = (ROUTES[j].endpoint.as_bytes(), ROUTES[i].endpoint.as_bytes());
+        if a.len() == b.len() {
+            let mut k = 0;
+            while k < a.len() && a[k] == b[k] {
+                k += 1;
+            }
+            if k == a.len() {
+                return false;
+            }
+        }
+        j += 1;
+    }
+    true
+}
 
 /// The status codes with dedicated response counters.
 pub const STATUSES: [u16; 16] = [
@@ -683,6 +708,31 @@ mod tests {
         assert_eq!(
             parse_metric(&text, "scpg_requests_total{endpoint=\"(refused)\"}"),
             Some(0.0)
+        );
+    }
+
+    #[test]
+    fn request_labels_keep_their_order() {
+        assert_eq!(
+            ENDPOINTS,
+            [
+                "sweep",
+                "table",
+                "headline",
+                "variation",
+                "activity",
+                "compare",
+                "netlists",
+                "libraries",
+                "jobs",
+                "traces",
+                "logs",
+                "status",
+                "designs",
+                "healthz",
+                "metrics",
+                "(refused)",
+            ]
         );
     }
 

@@ -16,7 +16,7 @@
 //!   paper's isolation circuit exists to guarantee.
 //!
 //! Timing is integer picoseconds. Cell delays are computed once per
-//! instance from the library at the chosen [`PvtCorner`].
+//! instance from the library at the chosen [`PvtCorner`](scpg_liberty::PvtCorner).
 //!
 //! [`Domain::Gated`]: scpg_netlist::Domain::Gated
 //!

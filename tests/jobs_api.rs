@@ -445,3 +445,54 @@ fn cancellation_is_cooperative_and_final() {
 
     handle.shutdown();
 }
+
+/// Every batchable route is a job `kind`; the interactive-only analysis
+/// endpoints are refused with a 422 naming the kinds that exist.
+#[test]
+fn job_kinds_are_the_batchable_routes() {
+    let handle = Server::bind(ServeConfig {
+        workers: 2,
+        ..ServeConfig::default()
+    })
+    .expect("bind")
+    .spawn();
+    let addr = handle.addr();
+    let design = r#""design": {"kind": "multiplier", "bits": 4}"#;
+    let kinds: Vec<&str> = scpg_serve::routes::job_kinds().collect();
+    assert_eq!(kinds, ["sweep", "table", "variation", "compare"]);
+    for kind in kinds {
+        let request = match kind {
+            "variation" => format!(r#"{{{design}, "samples": 1}}"#),
+            _ => format!(r#"{{{design}, "frequencies_hz": [1e6]}}"#),
+        };
+        let resp = client::submit_job(
+            addr,
+            &format!(r#"{{"kind": "{kind}", "request": {request}}}"#),
+        )
+        .expect("submit");
+        assert_eq!(resp.status, 202, "{kind}: {}", resp.text());
+    }
+    for kind in ["headline", "activity"] {
+        let resp = client::submit_job(
+            addr,
+            &format!(r#"{{"kind": "{kind}", "request": {{{design}}}}}"#),
+        )
+        .expect("submit");
+        assert_eq!(resp.status, 422, "{kind}: {}", resp.text());
+        assert_eq!(
+            resp.body,
+            api::error_body(&format!(
+                "unknown job kind \"{kind}\" (sweep | table | variation | compare)"
+            )),
+            "{}",
+            resp.text()
+        );
+    }
+    let missing = client::submit_job(addr, r#"{"request": {}}"#).expect("submit");
+    assert_eq!(missing.status, 422);
+    assert_eq!(
+        missing.body,
+        api::error_body(r#"kind must be "sweep", "table", "variation" or "compare""#)
+    );
+    handle.shutdown();
+}

@@ -449,3 +449,46 @@ fn batch_chunks_emit_wide_events() {
 
     handle.shutdown();
 }
+
+/// A wrong-method request that matched a route counts under that
+/// route's endpoint: request counter, latency histogram and wide event
+/// all say `healthz`, and nothing lands under `other`.
+#[test]
+fn wrong_method_requests_count_under_their_endpoint() {
+    let handle = tiny_server(ServeConfig {
+        workers: 2,
+        ..ServeConfig::default()
+    });
+    let addr = handle.addr();
+
+    let resp = client::post(addr, "/healthz", "{}").expect("POST /healthz");
+    assert_eq!(resp.status, 405, "{}", resp.text());
+
+    let metrics = client::get(addr, "/metrics").expect("metrics");
+    let text = metrics.text();
+    assert_eq!(
+        parse_metric(text, "scpg_requests_total{endpoint=\"healthz\"}"),
+        Some(1.0),
+        "{text}"
+    );
+    assert_eq!(
+        parse_metric(
+            text,
+            "scpg_request_duration_seconds_count{endpoint=\"healthz\"}"
+        ),
+        Some(1.0),
+        "{text}"
+    );
+    assert!(!text.contains("endpoint=\"other\""), "{text}");
+
+    let logs = client::get(addr, "/v1/logs?endpoint=healthz").expect("logs");
+    let events = parse_body(&logs)
+        .get("events")
+        .and_then(Json::as_array)
+        .unwrap()
+        .to_vec();
+    assert_eq!(events.len(), 1, "{}", logs.text());
+    assert_eq!(events[0].get("status").and_then(Json::as_u64), Some(405));
+
+    handle.shutdown();
+}

@@ -5,6 +5,7 @@
 //! (`Allow` on 405, `Retry-After` on 429/503).
 
 use scpg_serve::client::{self, ClientConn};
+use scpg_serve::routes::ROUTES;
 use scpg_serve::{ServeConfig, Server};
 use std::io::Read;
 use std::time::Duration;
@@ -277,6 +278,78 @@ fn method_not_allowed_names_the_allowed_methods() {
     let delete_on_jobs = client::delete(handle.addr(), "/v1/jobs").expect("DELETE on jobs");
     assert_eq!(delete_on_jobs.status, 405);
     assert_eq!(delete_on_jobs.header("allow"), Some("POST, GET"));
+
+    // Every row of the route table: a method it does not serve answers
+    // 405 with the row's exact `Allow` and the message it has always had.
+    let expected = [
+        ("/v1/sweep", "POST", "use POST for this endpoint"),
+        ("/v1/table", "POST", "use POST for this endpoint"),
+        ("/v1/headline", "POST", "use POST for this endpoint"),
+        ("/v1/variation", "POST", "use POST for this endpoint"),
+        ("/v1/activity", "POST", "use POST for this endpoint"),
+        ("/v1/compare", "POST", "use POST for this endpoint"),
+        ("/v1/netlists", "POST", "use POST for this endpoint"),
+        ("/v1/libraries", "POST", "use POST for this endpoint"),
+        (
+            "/v1/jobs",
+            "POST, GET",
+            "use POST (submit) or GET (list) on /v1/jobs",
+        ),
+        (
+            "/v1/jobs/{id}",
+            "GET, DELETE",
+            "use GET /v1/jobs/{id}[/result] or DELETE /v1/jobs/{id}",
+        ),
+        (
+            "/v1/jobs/{id}/result",
+            "GET",
+            "use GET /v1/jobs/{id}[/result] or DELETE /v1/jobs/{id}",
+        ),
+        ("/v1/traces", "GET", "use GET on /v1/traces[/{id}]"),
+        ("/v1/traces/{id}", "GET", "use GET on /v1/traces[/{id}]"),
+        ("/v1/logs", "GET", "use GET for this endpoint"),
+        ("/v1/status", "GET", "use GET for this endpoint"),
+        ("/v1/designs", "GET", "use GET for this endpoint"),
+        ("/healthz", "GET", "use GET for this endpoint"),
+        ("/metrics", "GET", "use GET for this endpoint"),
+    ];
+    assert_eq!(ROUTES.len(), expected.len(), "one row per resource");
+    for (route, (pattern, allow, message)) in ROUTES.iter().zip(expected) {
+        assert_eq!(route.pattern, pattern);
+        let method = ["GET", "POST", "DELETE", "PUT"]
+            .into_iter()
+            .find(|m| !route.allows(m))
+            .expect("every row refuses some method");
+        let path = pattern.replace("{id}", "j00000001");
+        let raw = format!(
+            "{method} {path} HTTP/1.1\r\nhost: scpg\r\ncontent-length: 0\r\nconnection: close\r\n\r\n"
+        );
+        let resp = client::raw(handle.addr(), raw.as_bytes()).expect("wrong method");
+        assert_eq!(resp.status, 405, "{method} {path}: {}", resp.text());
+        assert_eq!(resp.header("allow"), Some(allow), "{method} {path}");
+        assert_eq!(
+            resp.body,
+            scpg_serve::api::error_body(message),
+            "{method} {path}: {}",
+            resp.text()
+        );
+    }
+    handle.shutdown();
+}
+
+#[test]
+fn unknown_job_sub_resources_answer_404() {
+    let handle = serve(default_config());
+    for path in ["/v1/jobs/abc/nope", "/v1/jobs/abc/"] {
+        let resp = client::get(handle.addr(), path).expect("GET");
+        assert_eq!(resp.status, 404, "{path}: {}", resp.text());
+        assert_eq!(resp.header("allow"), None, "{path}");
+        assert_eq!(
+            resp.body,
+            scpg_serve::api::error_body("no such endpoint"),
+            "{path}"
+        );
+    }
     handle.shutdown();
 }
 
